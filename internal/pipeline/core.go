@@ -59,22 +59,28 @@ type Core struct {
 
 	cycle int64
 
-	// ffStall is the dispatch stall kind the last Quiescent call
-	// recorded, consumed by FastForward (see quiesce.go).
+	// ffStall is the dispatch stall counter that accrues during a
+	// fast-forward window: Quiescent classifies it, FastForward adds
+	// the window's length to it (see quiesce.go).
 	ffStall stallKind
 
 	// Stage-skip readiness layer (stageskip.go, DESIGN.md §14): cheap
-	// per-stage predicates, maintained at enqueue/dequeue time, that let
-	// Step elide a stage's scan when it provably has no work this cycle.
-	// A skipped scan is exactly a scan that would have mutated nothing
-	// and counted nothing, so skipping is bit-identical to full
-	// stepping; skipOff is the -stageskip=off escape hatch.
+	// per-stage predicates, maintained at enqueue/dequeue time, that say
+	// when a stage's scan provably has no work this cycle. Step elides
+	// those scans and Quiescent composes them into the fast-forward
+	// predicate. A skipped scan is exactly a scan that would have
+	// mutated nothing and counted nothing, so skipping is bit-identical
+	// to full stepping. The state is kept whatever skipOff says;
+	// skipOff (the -no-stageskip escape hatch) only stops Step from
+	// reading it.
 	skipOff     bool
 	wbMinDue    int64 // lower bound on the earliest pending completion cycle
 	psdQuiet    bool  // no store-data capture can progress until an event
 	commitQuiet bool  // the ROB head cannot commit until an event
 	issueQuiet  bool  // no issue-queue entry can act until an event
 	issueProbe  bool  // scratch: a load reached the probe path this scan
+	replayQuiet bool  // the replay scan cannot act before replayWake until an event
+	replayWake  int64 // first in-flight compare's completion cycle, noDue if none
 	replayBase  int   // settled ROB prefix the replay scan starts past
 	loads       loadTracker
 
@@ -260,7 +266,7 @@ func (c *Core) Step() {
 		c.writeback()
 		c.captureStoreData()
 		c.commit()
-		if c.cfg.Scheme == config.ValueReplay {
+		if c.eng != nil {
 			c.replayStage()
 		}
 		c.issue()
@@ -280,8 +286,12 @@ func (c *Core) Step() {
 		} else {
 			c.Skip.Commit++
 		}
-		if c.cfg.Scheme == config.ValueReplay {
-			c.replayStage()
+		if c.eng != nil {
+			if !c.replayQuiet || c.cycle >= c.replayWake {
+				c.replayStage()
+			} else {
+				c.Skip.Replay++
+			}
 		}
 		if !c.issueQuiet {
 			c.issue()
@@ -336,10 +346,12 @@ func (c *Core) complete(e *entry) bool {
 	e.done = true
 	e.resultReady = true
 	// A completion is the wake event for every sleeping back-end stage:
-	// it can ready a consumer's operand, a store's data, or the head.
+	// it can ready a consumer's operand, a store's data, the head, or a
+	// load awaiting its replay decision.
 	c.commitQuiet = false
 	c.issueQuiet = false
 	c.psdQuiet = false
+	c.replayQuiet = false
 	switch {
 	case e.isBranch:
 		return c.resolveBranch(e)
@@ -553,6 +565,9 @@ func (c *Core) commit() {
 		if c.replayBase > 0 {
 			c.replayBase-- // ROB indices shifted down by one
 		}
+		// The replay window slid: it may now reach a new entry, and a
+		// committed store no longer holds younger loads back.
+		c.replayQuiet = false
 		c.pool.put(e)
 	}
 	if c.rob.Len() == 0 {
@@ -573,19 +588,20 @@ func (c *Core) replayStage() {
 	// The settled-prefix cursor: entries below replayBase are known to
 	// be non-stores the scan would only continue over (non-loads, or
 	// loads already replayedOK — a state that never reverts while the
-	// entry is resident), so the scan resumes there instead of
+	// entry is resident), so the scan may resume there instead of
 	// rescanning the window head every cycle. Commit shifts it down,
 	// squash clamps it.
 	start := 0
 	if !c.skipOff {
 		start = c.replayBase
-		if start >= depth {
-			if start > 0 {
-				c.Skip.Replay++ // the whole window is settled
-			}
-			return
-		}
 	}
+	// The scan is quiet — it cannot act again before wake until a
+	// completion, a commit or a squash — when it stops without acting at
+	// a store, an incomplete load, the end of the window, or a machine
+	// with no replay port. A replay blocked by a store's port use is
+	// not: the port is free again next cycle.
+	quiet := true
+	wake := noDue
 	// Replay and compare are pipelined: one replay may *issue* per
 	// cycle even while older replays' compares are pending, but
 	// compares complete strictly in program order (olderPending) and a
@@ -596,10 +612,10 @@ func (c *Core) replayStage() {
 		if e.isStore {
 			// Constraint 1: all prior stores must have written the
 			// cache before any younger load replays.
-			return
+			break
 		}
 		if !e.isLoad || e.replayedOK {
-			if !c.skipOff && i == c.replayBase {
+			if i == c.replayBase {
 				c.replayBase++ // extend the settled prefix
 			}
 			continue
@@ -607,18 +623,20 @@ func (c *Core) replayStage() {
 		if !e.loadDone {
 			// Premature execution still in flight; replay is in-order,
 			// so nothing younger may replay either.
-			return
+			break
 		}
 		fe := c.eng.Queue.Find(e.tag)
 		if fe == nil {
 			e.replayedOK = true
 			c.commitQuiet = false
-			if !c.skipOff && i == c.replayBase {
+			quiet = false
+			if i == c.replayBase {
 				c.replayBase++
 			}
 			continue
 		}
 		if !e.replayDecided {
+			quiet = false
 			e.replayDecided = true
 			e.needReplay = false
 			if !c.faultNoReplay {
@@ -634,7 +652,7 @@ func (c *Core) replayStage() {
 				e.replayedOK = true
 				c.commitQuiet = false
 				c.eng.OnLoadPassedReplayStage(e.tag)
-				if !c.skipOff && i == c.replayBase {
+				if i == c.replayBase {
 					c.replayBase++
 				}
 				continue
@@ -644,8 +662,12 @@ func (c *Core) replayStage() {
 			if budget == 0 || c.portsUsed >= c.portCap() {
 				// Constraint: replays share the commit-stage port(s)
 				// with stores; stores have priority.
-				return
+				if c.cfg.ReplayPerCycle > 0 {
+					quiet = false
+				}
+				break
 			}
+			quiet = false
 			budget--
 			c.portsUsed++
 			res := c.hier.ReadReplay(e.addr, c.cycle)
@@ -680,10 +702,15 @@ func (c *Core) replayStage() {
 		}
 		if c.cycle < e.replayCycle || olderPending {
 			// Compare pending (or an older one is): completions stay
-			// in order, but younger replays may still issue.
+			// in order, but younger replays may still issue. The oldest
+			// pending compare completes first.
+			if !olderPending {
+				wake = e.replayCycle
+			}
 			olderPending = true
 			continue
 		}
+		quiet = false
 		// A replayed load's ordering point is its replay instant: its
 		// provenance is the replay-time writer whether or not the value
 		// matched. (With a match the values agree, so the value-aware
@@ -736,7 +763,7 @@ func (c *Core) replayStage() {
 			} else {
 				c.squashFrom(e.tag+1, e.pc+prog.InstBytes, false)
 			}
-			return
+			return // the squash cleared replayQuiet
 		}
 		if c.flt != nil {
 			c.flt.OnReplayVerdict(c.ID, e.tag, false, c.cycle)
@@ -744,6 +771,7 @@ func (c *Core) replayStage() {
 		e.replayedOK = true
 		c.commitQuiet = false
 	}
+	c.replayQuiet, c.replayWake = quiet, wake
 }
 
 // ---------------------------------------------------------------------
@@ -796,8 +824,8 @@ func (c *Core) issue() {
 	// Sleep the stage when this scan provably did nothing and would do
 	// nothing next cycle: nothing issued, no stray dropped, and no load
 	// reached the probe path (predictor and store-queue probes count
-	// their lookups, so a cycle that probes is never skippable — the
-	// same conservatism as issueWould in quiesce.go). Because nothing
+	// their lookups, so a cycle that probes is never skippable, neither
+	// by this layer nor by the fast-forward). Because nothing
 	// issued, every per-class budget was still full, so each survivor
 	// failed purely on operand readiness — which only a completion, a
 	// dispatch, or a squash can change; those clear the flag.
@@ -1103,13 +1131,7 @@ func (c *Core) dispatch() {
 		}
 		switch cls {
 		case isa.ClassLoad:
-			full := false
-			if c.eng != nil {
-				full = c.eng.Queue.Full()
-			} else {
-				full = c.alq.Full()
-			}
-			if full {
+			if c.lqFull() {
 				c.Stats.StallLQ++
 				return
 			}
@@ -1335,6 +1357,7 @@ func (c *Core) squashFrom(fromTag int64, newPC uint64, branchRepair bool) {
 	c.issueQuiet = false
 	c.psdQuiet = false
 	c.commitQuiet = false
+	c.replayQuiet = false
 	if c.replayBase > cut {
 		c.replayBase = cut
 	}

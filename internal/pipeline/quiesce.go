@@ -2,12 +2,13 @@
 // (DESIGN.md §12). A core is quiescent when stepping it one cycle would
 // change nothing observable except the deterministic per-cycle
 // accounting: the cycle counter, the ROB-occupancy integral, and at
-// most one dispatch stall counter. Quiescent proves that cycle by
-// re-walking Step's stages read-only, in stage order, and vetoing on
-// the first action any stage would take; FastForward then replicates
-// the per-cycle accounting for a whole window of such cycles at once.
-// The system composes the per-core predicate with the machine-level
-// wake sources (DMA, deferred fault deliveries, watchdog deadlines,
+// most one dispatch stall counter. Quiescent reads that answer from the
+// stage-skip readiness state (stageskip.go, DESIGN.md §14) — the same
+// watermark and quiet flags Step consults — plus O(1) dispatch and
+// fetch checks, so it walks no queue; FastForward then replicates the
+// per-cycle accounting for a whole window of such cycles at once. The
+// system composes the per-core predicate with the machine-level wake
+// sources (DMA, deferred fault deliveries, watchdog deadlines,
 // snapshot boundaries) in internal/system.
 
 package pipeline
@@ -28,95 +29,31 @@ const (
 	stallSQ
 )
 
-// noWake is Quiescent's "no scheduled wake event" sentinel: the core is
-// inert until an external event (or the run's cycle bound) arrives.
-const noWake = int64(-1)
-
-// wouldBeReady reports whether operand slot n is available, without
-// srcReady's value latching: Quiescent must observe, never mutate. The
-// latch itself is unobservable (a producer's result is immutable once
-// done/resultReady), so mirroring only the readiness test is exact.
-func (e *entry) wouldBeReady(n int) bool {
-	var p *entry
-	var reads bool
-	if n == 1 {
-		p, reads = e.src1, e.reads1
-	} else {
-		p, reads = e.src2, e.reads2
-	}
-	if !reads || p == nil {
-		return true
-	}
-	return p.done || p.resultReady
-}
-
 // Quiescent reports whether stepping the core this cycle would be a
 // no-op apart from the deterministic per-cycle accounting FastForward
-// replicates. When quiescent, wake is the earliest future cycle at
-// which the core might act again (noWake when it is inert until an
-// external event), and the dispatch stall kind of the window is
-// recorded for FastForward. The walk mirrors Step's stage order; every
-// check is read-only.
+// replicates. When quiescent, wake is the earliest future cycle, on
+// the core's own clock (Cycle), at which the core might act again
+// (math.MaxInt64 when it is inert until an external event), and the
+// dispatch stall kind of the window is recorded for FastForward.
+//
+// The back-end stages are quiet exactly when the readiness layer would
+// skip them: no pending completion due, store-data capture and commit
+// and issue flagged quiet, and (value-replay machines) the replay scan
+// flagged quiet before its next compare completion. The layer keeps
+// that state in every Options combination, so the answer does not
+// depend on whether Step reads it.
 //
 //vbr:hotpath
 func (c *Core) Quiescent() (wake int64, ok bool) {
 	now := c.cycle
-	wake = noWake
-
-	// Writeback: a due completion mutates; a future one schedules a
-	// wake at its completion cycle.
-	for _, e := range c.pend.entries {
-		if e.done {
-			continue
-		}
-		if e.doneCycle <= now {
-			return noWake, false
-		}
-		if wake < 0 || e.doneCycle < wake {
-			wake = e.doneCycle
-		}
+	if now >= c.wbMinDue || !c.commitQuiet || !c.issueQuiet ||
+		(len(c.psd) > 0 && !c.psdQuiet) ||
+		(c.eng != nil && (!c.replayQuiet || now >= c.replayWake)) {
+		return noDue, false
 	}
-
-	// Store data capture: removal (dataDone) and capture (operand 2
-	// ready) both mutate. A blocked capture's wake is its data
-	// producer's completion, which the pending list above covers.
-	for _, e := range c.psd {
-		if e.dataDone || e.wouldBeReady(2) {
-			return noWake, false
-		}
-	}
-
-	// Commit: a done head commits — except a replay-machine load still
-	// awaiting its replay verdict, where commit returns untouched and
-	// the replay scan below owns the wake.
-	if c.rob.Len() > 0 {
-		h := c.rob.At(0)
-		if h.done && !(h.isLoad && c.eng != nil && !h.replayedOK) {
-			return noWake, false
-		}
-	}
-
-	// Replay & compare stages (value-replay machines).
-	if c.eng != nil {
-		w, quiet := c.replayQuiescent(now)
-		if !quiet {
-			return noWake, false
-		}
-		if w >= 0 && (wake < 0 || w < wake) {
-			wake = w
-		}
-	}
-
-	// Issue: any entry the scan would act on vetoes the cycle.
-	for _, e := range c.iq {
-		if !e.inIQ {
-			// A stray left by a mid-cycle squash: the issue scan would
-			// drop it, changing the queue occupancy dispatch checks.
-			return noWake, false
-		}
-		if c.issueWould(e) {
-			return noWake, false
-		}
+	wake = c.wbMinDue
+	if c.eng != nil && c.replayWake < wake {
+		wake = c.replayWake
 	}
 
 	// Dispatch: either idle (front-end empty or front not ready, with
@@ -126,7 +63,7 @@ func (c *Core) Quiescent() (wake int64, ok bool) {
 	if c.fetchQ.Len() > 0 {
 		f := c.fetchQ.Front()
 		if f.readyCycle > now {
-			if wake < 0 || f.readyCycle < wake {
+			if f.readyCycle < wake {
 				wake = f.readyCycle
 			}
 		} else {
@@ -143,7 +80,7 @@ func (c *Core) Quiescent() (wake int64, ok bool) {
 			case f.cls == isa.ClassStore && c.sq.Full():
 				c.ffStall = stallSQ
 			default:
-				return noWake, false // the front instruction would dispatch
+				return noDue, false // the front instruction would dispatch
 			}
 		}
 	}
@@ -152,89 +89,13 @@ func (c *Core) Quiescent() (wake int64, ok bool) {
 	// fetch buffer means an instruction-cache access (which mutates
 	// cache state and counters) would happen.
 	if now < c.fetchStallUntil {
-		if wake < 0 || c.fetchStallUntil < wake {
+		if c.fetchStallUntil < wake {
 			wake = c.fetchStallUntil
 		}
 	} else if c.fetchQ.Len() < c.cfg.FetchBuf {
-		return noWake, false
+		return noDue, false
 	}
 	return wake, true
-}
-
-// replayQuiescent walks the replay window exactly as replayStage does,
-// read-only: the filter decision, a replay issue, and a due compare
-// completion all mutate; an in-flight compare wakes at its completion
-// cycle (in-order completion makes the first one the earliest).
-func (c *Core) replayQuiescent(now int64) (int64, bool) {
-	depth := c.cfg.ReplayWindow
-	if n := c.rob.Len(); depth > n {
-		depth = n
-	}
-	wake := noWake
-	pending := false // an older in-flight compare defers younger ones
-	for i := 0; i < depth; i++ {
-		e := c.rob.At(i)
-		if e.isStore {
-			break // constraint 1 stops the replay scan at a store
-		}
-		if !e.isLoad || e.replayedOK {
-			continue
-		}
-		if !e.loadDone {
-			break // in-order: nothing younger replays; pend holds the wake
-		}
-		if !e.replayDecided {
-			return noWake, false // the filter decision mutates engine state
-		}
-		if !e.replayIssued {
-			if c.cfg.ReplayPerCycle <= 0 {
-				break // no replay port: deterministically stalled
-			}
-			// In a quiescent candidate cycle no store committed, so the
-			// commit-stage port is free and the replay would issue.
-			return noWake, false
-		}
-		if now >= e.replayCycle && !pending {
-			return noWake, false // the compare would complete
-		}
-		if !pending {
-			wake = e.replayCycle
-		}
-		pending = true
-	}
-	return wake, true
-}
-
-// issueWould reports whether the issue stage would act on entry e this
-// cycle: actually issue it, or — for loads with a ready address
-// operand — probe the dependence predictor and store queue, both of
-// which count their lookups. Budget checks use the cycle's initial
-// per-class budgets: in a quiescent candidate cycle nothing has issued,
-// so none are spent.
-func (c *Core) issueWould(e *entry) bool {
-	switch e.cls {
-	case isa.ClassIntALU:
-		return c.cfg.IntALU > 0 && e.wouldBeReady(1) && e.wouldBeReady(2)
-	case isa.ClassIntMul, isa.ClassIntDiv:
-		return c.cfg.IntMulDiv > 0 && e.wouldBeReady(1) && e.wouldBeReady(2)
-	case isa.ClassFPALU:
-		return c.cfg.FPALU > 0 && e.wouldBeReady(1) && e.wouldBeReady(2)
-	case isa.ClassFPMul, isa.ClassFPDiv:
-		return c.cfg.FPMulDiv > 0 && e.wouldBeReady(1) && e.wouldBeReady(2)
-	case isa.ClassBranch:
-		return c.cfg.IntALU > 0 && e.wouldBeReady(1)
-	case isa.ClassStore:
-		if e.agenDone || e.issued {
-			return false
-		}
-		return c.cfg.IntALU > 0 && e.wouldBeReady(1)
-	case isa.ClassLoad:
-		// Conservative: once the address operand is ready, issueLoad's
-		// predictor and store-queue probes bump observable counters even
-		// when the load ends up blocked, so the cycle is not skippable.
-		return c.cfg.LoadPorts > 0 && e.wouldBeReady(1)
-	}
-	return false
 }
 
 // lqFull reports whether the load queue (FIFO on replay machines,

@@ -1,23 +1,29 @@
-// Stage-skip readiness layer (DESIGN.md §14). The quiescence
-// fast-forward (quiesce.go) only wins when a whole core goes idle; busy
-// high-IPC regions still walked every stage of Step each cycle even
-// when most stages provably had no work. This file holds the state that
-// lets Step elide individual stage scans: a next-wake watermark for
-// writeback (the earliest pending completion cycle), dirty/quiet flags
-// for store-data capture, commit, and issue that are cleared by exactly
-// the events that could give the stage work, and a settled-prefix
-// cursor for the replay scan. The contract is the same as the
-// fast-forward's: a skipped scan is precisely a scan that would have
+// Stage-skip readiness layer (DESIGN.md §14). This file holds the
+// state that says, per back-end stage, whether its scan could act this
+// cycle: a next-wake watermark for writeback (the earliest pending
+// completion cycle), quiet flags for store-data capture, commit, and
+// issue, and a quiet flag with a wake cycle (the oldest in-flight
+// compare's completion) for the replay scan. Each flag is set by its
+// stage's own scan when that scan finds nothing to do, and cleared by
+// exactly the events that could give the stage work. A settled-prefix
+// cursor additionally lets a running replay scan start past the window
+// entries it has already settled. Step elides the scans the state
+// proves idle, and the quiescence fast-forward (quiesce.go) composes
+// the same state into its whole-core predicate. The contract is the
+// same for both: a skipped scan is precisely a scan that would have
 // mutated nothing and counted nothing, so a run with skipping on is
 // bit-identical — counters, stats, trace events, committed values — to
-// one with it off. The -stageskip=off escape hatch exists for A/B
-// equivalence tests and measurement, not for correctness.
+// one with it off. The -no-stageskip escape hatch stops Step from
+// reading the state (the fast-forward still reads it); it exists for
+// A/B equivalence tests and measurement, not for correctness.
 
 package pipeline
 
 import "math"
 
-// noDue is the writeback watermark's "no pending completion" sentinel.
+// noDue is the readiness state's "no scheduled wake" sentinel: no
+// pending completion, no in-flight compare, or (from Quiescent) a core
+// inert until an external event.
 const noDue = int64(math.MaxInt64)
 
 // SkipStats counts, per stage, the Step cycles whose stage scan the
@@ -28,7 +34,7 @@ type SkipStats struct {
 	Writeback uint64 // cycles before the earliest pending completion
 	Capture   uint64 // store-data list empty or provably blocked
 	Commit    uint64 // ROB head provably unable to commit
-	Replay    uint64 // replay window fully settled past the cursor
+	Replay    uint64 // replay scan flagged quiet before its wake cycle
 	Issue     uint64 // no issue-queue entry could issue or probe
 }
 

@@ -1,25 +1,19 @@
 // The quiescence fast-forward (DESIGN.md §12): when every unfinished
-// core is idle-stable — ROB empty or stalled-deterministic, LSQ
-// drained or waiting on scheduled completions, no due replay compare,
-// nothing to issue, dispatch, or fetch — and no machine-level event is
-// due, Advance jumps the cycle counter to the earliest scheduled wake
-// event instead of stepping through dead cycles one by one. The skip
-// is bit-identical to plain stepping: the per-core predicate
-// (pipeline.Core.Quiescent) vetoes any cycle that would mutate
-// anything beyond the deterministic per-cycle accounting, and the
-// window is capped by every machine-level wake source — the next DMA
-// burst, the next deferred fault delivery, the watchdog's deadlock and
-// storm-scan deadlines, the next metrics snapshot, and the run's cycle
-// bound.
+// core is quiescent and no machine-level event is due, Advance jumps
+// the cycle counter to the earliest scheduled wake event instead of
+// stepping through dead cycles one by one. A core is quiescent when
+// its stage-skip readiness state (DESIGN.md §14) proves every back-end
+// stage idle and its dispatch and fetch are idle or deterministically
+// stalled (pipeline.Core.Quiescent, an O(1) read). The skip is
+// bit-identical to plain stepping: the per-core predicate vetoes any
+// cycle that would mutate anything beyond the deterministic per-cycle
+// accounting, and the window is capped by every machine-level wake
+// source — the next DMA burst, the next deferred fault delivery, the
+// watchdog's deadlock and storm-scan deadlines, the next metrics
+// snapshot, and the run's cycle bound. The probe is cheap enough to
+// run on every cycle.
 
 package system
-
-// ffProbeIdle is how many consecutive commit-less cycles Advance waits
-// before probing for quiescence. A committing cycle is never quiescent,
-// and transient commit gaps (a blocked head with the pipeline still
-// filling) fail the probe anyway; the small delay keeps the probe off
-// the busy path so fast-forward costs nothing when it cannot help.
-const ffProbeIdle = 4
 
 // FFStats reports fast-forward activity over a run's lifetime.
 type FFStats struct {
@@ -45,6 +39,23 @@ func (s *System) FastForwardStats() FFStats { return s.ff }
 func (s *System) tryFastForward(target uint64, maxCycles int64) bool {
 	now := s.CycleNum
 	w := maxCycles
+	// Cores first: on a busy machine the first core vetoes the skip
+	// before any machine-level source is consulted.
+	for _, c := range s.Cores {
+		if c.Stats.Committed >= target {
+			continue
+		}
+		wake, ok := c.Quiescent()
+		if !ok {
+			return false
+		}
+		// A core that reached an earlier Advance target sat out the
+		// cycles until this call, so its clock trails the machine's:
+		// its wake counts from its own cycle.
+		if d := wake - c.Cycle(); d < w-now {
+			w = now + d
+		}
+	}
 	if s.DMA != nil && s.DMA.Interval > 0 {
 		next := s.DMA.NextAt()
 		if next <= now {
@@ -82,21 +93,6 @@ func (s *System) tryFastForward(target uint64, maxCycles int64) bool {
 		next := (now/s.snapInterval+1)*s.snapInterval - 1
 		if next < w {
 			w = next
-		}
-	}
-	if w <= now {
-		return false
-	}
-	for _, c := range s.Cores {
-		if c.Stats.Committed >= target {
-			continue
-		}
-		wake, ok := c.Quiescent()
-		if !ok {
-			return false
-		}
-		if wake >= 0 && wake < w {
-			w = wake
 		}
 	}
 	n := w - now

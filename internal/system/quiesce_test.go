@@ -1,136 +1,49 @@
-// Tests for the quiescence fast-forward (DESIGN.md §12). The contract
-// under test is bit-identity: a run with cycle skipping enabled must
-// produce exactly the same Result — counters, pipeline statistics,
-// cycle count, trace event counts, metrics snapshots — as the same run
-// stepped cycle by cycle, across the whole machine registry and at
-// every supported core count.
+// Fast-forward specific tests (DESIGN.md §12): engagement on the
+// stall-bound shapes the skip exists for, suspension under a per-cycle
+// hook, and the machine-level wake caps. Bit-identity against plain
+// stepping is the shared harness's job (identity_test.go).
 
 package system
 
 import (
-	"reflect"
 	"testing"
 
 	"vbmo/internal/config"
 	"vbmo/internal/fault"
-	"vbmo/internal/trace"
 	"vbmo/internal/workload"
 )
 
-// ffPair runs the same (machine, workload, cores, seed) twice — once
-// with fast-forward enabled (the default) and once with it disabled —
-// and returns both systems and their run results.
-func ffPair(t *testing.T, cfg config.Machine, workName string, cores int, insts uint64, snapshot int64) (on, off *System, resOn, resOff Result, csOn, csOff *trace.CountSink) {
-	t.Helper()
-	work, ok := workload.ByName(workName)
-	if !ok {
-		t.Fatalf("unknown workload %q", workName)
-	}
-	run := func(noFF bool) (*System, Result, *trace.CountSink) {
-		cs := &trace.CountSink{}
-		opt := Options{
-			Cores: cores, Seed: 42,
-			DMAInterval: 4000, DMABurst: 2,
-			SnapshotInterval: snapshot,
-			NoFastForward:    noFF,
-			Trace:            trace.New(cs),
-		}
-		s := New(cfg, work, opt)
-		res := s.Run(insts, opt)
-		return s, res, cs
-	}
-	on, resOn, csOn = run(false)
-	off, resOff, csOff = run(true)
-	return
-}
+// ffEngageFloor is the least share of cycles the engagement cases must
+// fast-forward.
+const ffEngageFloor = 0.6
 
-// assertFFIdentical asserts the two runs of a pair are bit-identical.
-func assertFFIdentical(t *testing.T, on, off *System, resOn, resOff Result, csOn, csOff *trace.CountSink) {
-	t.Helper()
-	if off.FastForwardStats() != (FFStats{}) {
-		t.Errorf("disabled run reports fast-forward activity: %+v", off.FastForwardStats())
-	}
-	if on.CycleNum != off.CycleNum {
-		t.Errorf("CycleNum diverged: ff=%d plain=%d", on.CycleNum, off.CycleNum)
-	}
-	if !reflect.DeepEqual(resOn, resOff) {
-		t.Errorf("Result diverged:\n ff:    %+v\n plain: %+v", resOn, resOff)
-	}
-	if !reflect.DeepEqual(resOn.Counters, resOff.Counters) {
-		t.Errorf("Counters diverged:\n ff:    %v\n plain: %v", resOn.Counters, resOff.Counters)
-	}
-	if csOn.Total() != csOff.Total() {
-		t.Errorf("trace event totals diverged: ff=%d plain=%d", csOn.Total(), csOff.Total())
-	}
-	for _, k := range []trace.Kind{
-		trace.KLoadIssue, trace.KFilterDecision, trace.KReplay,
-		trace.KValueMismatch, trace.KSquash, trace.KSnoopInval,
-		trace.KExtFill, trace.KDMAWrite, trace.KROBOcc, trace.KWatchdog,
-	} {
-		if a, b := csOn.Count(k), csOff.Count(k); a != b {
-			t.Errorf("trace kind %v count diverged: ff=%d plain=%d", k, a, b)
-		}
-	}
-	if !reflect.DeepEqual(on.Metrics, off.Metrics) {
-		t.Errorf("metrics snapshots diverged")
-	}
-}
-
-// TestFastForwardBitIdenticalRegistry sweeps every registered machine:
-// skipping must be invisible in every output.
-func TestFastForwardBitIdenticalRegistry(t *testing.T) {
-	for _, name := range config.Names() {
-		cfg, ok := config.ByName(name)
-		if !ok {
-			t.Fatalf("registry lists unknown machine %q", name)
-		}
-		t.Run(name, func(t *testing.T) {
-			on, off, resOn, resOff, csOn, csOff := ffPair(t, cfg, "mcf", 1, 4000, 0)
-			assertFFIdentical(t, on, off, resOn, resOff, csOn, csOff)
-		})
-	}
-}
-
-// TestFastForwardBitIdenticalMulti covers the lock-step multiprocessor
-// at 4 and at the full 16-way configuration, and snapshot sampling.
-func TestFastForwardBitIdenticalMulti(t *testing.T) {
-	cases := []struct {
-		name, machine, work string
-		cores               int
-		insts               uint64
-		snapshot            int64
-	}{
-		{"ocean-4", "baseline", "ocean", 4, 1500, 0},
-		{"ocean-snoop-4", "no-recent-snoop", "ocean", 4, 1500, 0},
-		{"spin-mp-16", "baseline", "spin-mp", 16, 600, 0},
-		{"gzip-snapshots", "baseline", "gzip", 1, 6000, 512},
+// TestFastForwardEngagesOnSpin asserts the skip actually fires on the
+// latency-bound workloads it was built for, on baseline and on
+// value-replay machines — a guard against the predicate silently
+// degrading into "never quiescent". On replay machines every spin
+// load waits for its replay compare, so this also pins that the replay
+// stage's quiet flag carries its share of the predicate.
+func TestFastForwardEngagesOnSpin(t *testing.T) {
+	cases := []identityCase{
+		{"baseline", "baseline", "spin", 1, 3000, 0, 1},
+		{"no-recent-snoop", "no-recent-snoop", "spin", 1, 3000, 0, 1},
+		{"replay-all", "replay-all", "spin", 1, 3000, 0, 1},
+		{"spin-mp-16", "baseline", "spin-mp", 16, 600, 0, 1},
+		{"spin-mp-16-replay", "replay-all", "spin-mp", 16, 600, 0, 1},
+		{"spin-mp-16-windows", "baseline", "spin-mp", 16, 600, 0, 6},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg, ok := config.ByName(tc.machine)
-			if !ok {
-				t.Fatalf("unknown machine %q", tc.machine)
+			s := runLayers(t, tc, 42, layers{}).s
+			ff := s.FastForwardStats()
+			frac := float64(ff.SkippedCycles) / float64(s.CycleNum)
+			t.Logf("skipped %.1f%% of cycles (%d of %d) in %d windows",
+				100*frac, ff.SkippedCycles, s.CycleNum, ff.Windows)
+			if frac < ffEngageFloor {
+				t.Errorf("fast-forward skipped only %.1f%% of cycles (%d of %d), floor %.0f%%",
+					100*frac, ff.SkippedCycles, s.CycleNum, 100*ffEngageFloor)
 			}
-			on, off, resOn, resOff, csOn, csOff := ffPair(t, cfg, tc.work, tc.cores, tc.insts, tc.snapshot)
-			assertFFIdentical(t, on, off, resOn, resOff, csOn, csOff)
 		})
-	}
-}
-
-// TestFastForwardEngagesOnSpin asserts the skip actually fires on the
-// latency-bound workload it was built for — a guard against the
-// predicate silently degrading into "never quiescent".
-func TestFastForwardEngagesOnSpin(t *testing.T) {
-	cfg, _ := config.ByName("baseline")
-	on, off, resOn, resOff, csOn, csOff := ffPair(t, cfg, "spin", 1, 3000, 0)
-	assertFFIdentical(t, on, off, resOn, resOff, csOn, csOff)
-	ff := on.FastForwardStats()
-	if ff.Windows == 0 || ff.SkippedCycles == 0 {
-		t.Fatalf("fast-forward never engaged on spin: %+v", ff)
-	}
-	if frac := float64(ff.SkippedCycles) / float64(on.CycleNum); frac < 0.30 {
-		t.Errorf("fast-forward skipped only %.1f%% of spin cycles (%d of %d)",
-			100*frac, ff.SkippedCycles, on.CycleNum)
 	}
 }
 
@@ -148,8 +61,9 @@ func TestFastForwardDisabledByHook(t *testing.T) {
 }
 
 // findQuiescent steps the system cycle by cycle (mirroring Advance's
-// order: DMA tick, core steps, cycle increment) until every core
-// reports quiescent and no machine event is due, then returns.
+// order: DMA tick, core steps, cycle increment) until every core's
+// readiness state reports it quiescent and no machine event is due,
+// then returns.
 func findQuiescent(t *testing.T, s *System) {
 	t.Helper()
 	for i := 0; i < 200000; i++ {

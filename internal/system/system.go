@@ -423,27 +423,18 @@ func (s *System) Advance(target uint64, opt Options) {
 	// bit-identical to plain stepping — but yields to the per-cycle hook,
 	// which must observe every cycle.
 	ff := !opt.NoFastForward && s.onCycle == nil
-	prevTotal := ^uint64(0) // sentinel: never matches a real total
-	idle := 0
 	for {
 		done := true
-		var total uint64
 		for _, c := range s.Cores {
-			total += c.Stats.Committed
 			if c.Stats.Committed < target {
 				done = false
+				break
 			}
 		}
 		if done || s.CycleNum >= maxCycles {
 			break
 		}
-		if total != prevTotal {
-			prevTotal = total
-			idle = 0
-		} else {
-			idle++
-		}
-		if ff && idle >= ffProbeIdle && s.tryFastForward(target, maxCycles) {
+		if ff && s.tryFastForward(target, maxCycles) {
 			continue
 		}
 		if s.onCycle != nil {
