@@ -7,10 +7,13 @@ import (
 
 func TestFIFOInsertOrderAndCapacity(t *testing.T) {
 	q := NewFIFOQueue(2)
-	if !q.Insert(1, 0x10) || !q.Insert(5, 0x20) {
-		t.Fatal("inserts failed")
+	if _, ok := q.Insert(1, 0x10); !ok {
+		t.Fatal("insert failed")
 	}
-	if q.Insert(9, 0x30) {
+	if _, ok := q.Insert(5, 0x20); !ok {
+		t.Fatal("insert failed")
+	}
+	if _, ok := q.Insert(9, 0x30); ok {
 		t.Error("full queue accepted insert")
 	}
 	if q.Len() != 2 || !q.Full() {
@@ -34,24 +37,39 @@ func TestFIFOOutOfOrderInsertPanics(t *testing.T) {
 
 func TestFIFOFindRemoveSquash(t *testing.T) {
 	q := NewFIFOQueue(8)
+	var hs []int64
 	for i := int64(1); i <= 5; i++ {
-		q.Insert(i, uint64(i)*4)
+		h, _ := q.Insert(i, uint64(i)*4)
+		hs = append(hs, h)
 	}
-	if e := q.Find(3); e == nil || e.PC != 12 {
+	if e := q.Find(hs[2], 3); e.PC != 12 {
 		t.Errorf("Find(3) = %+v", e)
 	}
-	if q.Find(99) != nil {
-		t.Error("Find of absent tag should be nil")
-	}
+	// A handle whose slot holds another tag, and a commit of anything
+	// but the head, mean the queue and the ROB disagree.
+	mustPanic(t, "Find with a mismatched tag", func() { q.Find(hs[2], 99) })
+	mustPanic(t, "Remove of a non-head load", func() { q.Remove(2) })
 	q.Remove(1)
+	mustPanic(t, "Find of a removed load", func() { q.Find(hs[0], 1) })
 	q.Squash(4)
-	if q.Len() != 2 || q.Head().Tag != 2 {
-		t.Errorf("after remove+squash: len=%d head=%+v", q.Len(), q.Head())
+	if q.Len() != 2 || q.Head().Tag != 2 || q.YoungestTag() != 3 {
+		t.Errorf("after remove+squash: len=%d head=%+v youngest=%d", q.Len(), q.Head(), q.YoungestTag())
 	}
+	mustPanic(t, "Find of a squashed load", func() { q.Find(hs[3], 4) })
 	empty := NewFIFOQueue(2)
-	if empty.Head() != nil {
-		t.Error("empty Head should be nil")
+	if empty.Head() != nil || empty.YoungestTag() != -1 {
+		t.Error("empty Head should be nil and YoungestTag -1")
 	}
+}
+
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s should panic", what)
+		}
+	}()
+	f()
 }
 
 func TestReplayAllReplaysEverything(t *testing.T) {
@@ -277,8 +295,8 @@ func TestFIFOQueueProperty(t *testing.T) {
 		}
 		q.Squash(int64(k))
 		last := int64(-1)
-		for i := 0; i < q.Len(); i++ {
-			e := q.entries[i]
+		for h := q.head; h < q.tail; h++ {
+			e := q.entries[h&q.mask]
 			if e.Tag >= int64(k) || e.Tag <= last {
 				return false
 			}

@@ -19,6 +19,10 @@
 //
 // NRM and NRS must each be paired with NUS (paper §3.3); the Engine
 // enforces that composition.
+//
+// The FIFO is searched by nobody, in the simulator as in the paper: it
+// is a ring, each load keeps the handle Insert returned and reaches its
+// entry through it, commit pops the head and squash truncates the tail.
 package core
 
 // FIFOEntry is one in-flight load in the replay machine's load queue.
@@ -55,83 +59,93 @@ type FIFOEntry struct {
 // with head/tail access only. Its capacity can scale with the reorder
 // buffer because nothing in it is searched.
 //
-// The tags live in a dense parallel array (struct-of-arrays, DESIGN.md
-// §12): Find, Remove and Squash scan one int64 per load instead of
-// striding over the ten-word FIFOEntry payload, which is only touched
-// for the entry actually addressed. Both slices are preallocated to
-// capacity and their indices always align.
+// It is a fixed ring addressed by handle: Insert returns the load's
+// insert sequence number, the pipeline keeps it in the load's ROB
+// entry, and Find goes straight to the load's slot, checking the slot's
+// tag. Commit pops the head and squash truncates the tail, so no
+// operation scans or moves resident entries. The resident loads hold
+// handles [head, tail), handle h at slot h&mask; the ring is sized to
+// the capacity rounded up to a power of two and never grows.
 type FIFOQueue struct {
-	tags    []int64
-	entries []FIFOEntry
-	cap     int
+	entries    []FIFOEntry
+	head, tail int64 // resident handles are [head, tail)
+	mask       int64
+	cap        int
 }
 
 // NewFIFOQueue creates a queue with the given capacity.
 func NewFIFOQueue(capacity int) *FIFOQueue {
-	return &FIFOQueue{
-		cap:     capacity,
-		tags:    make([]int64, 0, capacity),
-		entries: make([]FIFOEntry, 0, capacity),
+	n := 1
+	for n < capacity {
+		n <<= 1
 	}
+	return &FIFOQueue{cap: capacity, entries: make([]FIFOEntry, n), mask: int64(n - 1)}
 }
 
 // Len returns the occupancy.
-func (q *FIFOQueue) Len() int { return len(q.tags) }
+func (q *FIFOQueue) Len() int { return int(q.tail - q.head) }
 
 // Full reports whether another load can dispatch.
-func (q *FIFOQueue) Full() bool { return len(q.tags) >= q.cap }
+func (q *FIFOQueue) Full() bool { return q.Len() >= q.cap }
 
-// Insert appends a load at dispatch, in program order.
-func (q *FIFOQueue) Insert(tag int64, pc uint64) bool {
+// Insert appends a load at dispatch, in program order, and returns its
+// handle; it fails when the queue is full.
+func (q *FIFOQueue) Insert(tag int64, pc uint64) (int64, bool) {
 	if q.Full() {
-		return false
+		return 0, false
 	}
-	if n := len(q.tags); n > 0 && q.tags[n-1] >= tag {
+	if q.tail > q.head && q.entries[(q.tail-1)&q.mask].Tag >= tag {
 		panic("core: load tags must be inserted in program order")
 	}
-	q.tags = append(q.tags, tag)
-	q.entries = append(q.entries, FIFOEntry{Tag: tag, PC: pc})
-	return true
+	h := q.tail
+	q.entries[h&q.mask] = FIFOEntry{Tag: tag, PC: pc}
+	q.tail++
+	return h, true
 }
 
-// Find returns the entry with the given tag, or nil.
+// Find returns the resident load with handle h, which must carry the
+// given tag.
 //
 //vbr:hotpath
-func (q *FIFOQueue) Find(tag int64) *FIFOEntry {
-	for i, t := range q.tags {
-		if t == tag {
-			return &q.entries[i]
-		}
+func (q *FIFOQueue) Find(h, tag int64) *FIFOEntry {
+	e := &q.entries[h&q.mask]
+	if h < q.head || h >= q.tail || e.Tag != tag {
+		panic("core: load handle does not match its tag")
 	}
-	return nil
+	return e
 }
 
 // Head returns the oldest entry, or nil.
 func (q *FIFOQueue) Head() *FIFOEntry {
-	if len(q.entries) == 0 {
+	if q.head == q.tail {
 		return nil
 	}
-	return &q.entries[0]
+	return &q.entries[q.head&q.mask]
 }
 
-// Remove deletes the load with the given tag (at commit).
-func (q *FIFOQueue) Remove(tag int64) {
-	for i, t := range q.tags {
-		if t == tag {
-			q.tags = append(q.tags[:i], q.tags[i+1:]...)
-			q.entries = append(q.entries[:i], q.entries[i+1:]...)
-			return
-		}
+// YoungestTag returns the tag of the youngest resident load, or -1.
+// The queue holds exactly the ROB-resident loads, so this is the
+// youngest load in the instruction window.
+func (q *FIFOQueue) YoungestTag() int64 {
+	if q.head == q.tail {
+		return -1
 	}
+	return q.entries[(q.tail-1)&q.mask].Tag
+}
+
+// Remove pops the oldest load, which must carry the given tag (at
+// commit). Loads commit in program order, so a tag that is not the
+// head means the queue and the ROB disagree.
+func (q *FIFOQueue) Remove(tag int64) {
+	if q.head == q.tail || q.entries[q.head&q.mask].Tag != tag {
+		panic("core: committed load is not the queue head")
+	}
+	q.head++
 }
 
 // Squash removes every load with tag >= fromTag.
 func (q *FIFOQueue) Squash(fromTag int64) {
-	for i, t := range q.tags {
-		if t >= fromTag {
-			q.tags = q.tags[:i]
-			q.entries = q.entries[:i]
-			return
-		}
+	for q.tail > q.head && q.entries[(q.tail-1)&q.mask].Tag >= fromTag {
+		q.tail--
 	}
 }

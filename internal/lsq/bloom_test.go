@@ -87,7 +87,7 @@ func TestLQBloomFiltersSearches(t *testing.T) {
 	q := NewAssocLoadQueue(Snooping, 16)
 	q.EnableBloom(256, 2)
 	q.Insert(1, 0x100)
-	q.OnIssue(1, 0x1000, -1)
+	issue(q, 1, 0x1000, -1)
 	// A store to an unrelated block skips the CAM entirely.
 	if _, found := q.OnStoreAgen(0x9000, 0); found {
 		t.Error("unrelated store squashed")
@@ -114,8 +114,8 @@ func TestLQBloomInvalidationFilter(t *testing.T) {
 	q.EnableBloom(256, 2)
 	q.Insert(1, 0x100)
 	q.Insert(2, 0x104)
-	q.OnIssue(1, 0x1000, -1)
-	q.OnIssue(2, 0x2000, -1)
+	issue(q, 1, 0x1000, -1)
+	issue(q, 2, 0x2000, -1)
 	if _, found := q.OnInvalidation(0x7000, 1); found {
 		t.Error("unrelated invalidation squashed")
 	}

@@ -10,8 +10,8 @@ func twoLevelQueue(n int) *StoreQueue {
 	for i := 0; i < n; i++ {
 		tag := int64(i)
 		q.Insert(tag, 0)
-		q.SetAddr(tag, uint64(0x1000+i*8))
-		q.SetData(tag, uint64(i))
+		setAddr(q, tag, uint64(0x1000+i*8))
+		setData(q, tag, uint64(i))
 	}
 	return q
 }
@@ -19,7 +19,7 @@ func twoLevelQueue(n int) *StoreQueue {
 func TestTwoLevelL1MatchIsFast(t *testing.T) {
 	q := twoLevelQueue(10)
 	// The newest 4 stores (tags 6..9) are level one.
-	r := q.Search(0x1000+9*8, 100)
+	r := search(q, 0x1000+9*8, 100)
 	if !r.Match || r.MatchTag != 9 {
 		t.Fatalf("L1 match failed: %+v", r)
 	}
@@ -30,7 +30,7 @@ func TestTwoLevelL1MatchIsFast(t *testing.T) {
 
 func TestTwoLevelL2MatchIsSlow(t *testing.T) {
 	q := twoLevelQueue(10)
-	r := q.Search(0x1000, 100) // oldest store, deep in L2
+	r := search(q, 0x1000, 100) // oldest store, deep in L2
 	if !r.Match || r.MatchTag != 0 {
 		t.Fatalf("L2 match failed: %+v", r)
 	}
@@ -44,7 +44,7 @@ func TestTwoLevelL2MatchIsSlow(t *testing.T) {
 
 func TestTwoLevelFilterSkipsL2(t *testing.T) {
 	q := twoLevelQueue(10)
-	r := q.Search(0x9000, 100) // matches nothing anywhere
+	r := search(q, 0x9000, 100) // matches nothing anywhere
 	if r.Match {
 		t.Fatal("phantom match")
 	}
@@ -57,7 +57,7 @@ func TestTwoLevelUnresolvedForcesL2(t *testing.T) {
 	q := twoLevelQueue(10)
 	// An unresolved store anywhere defeats the filter (it could alias).
 	q.Insert(50, 0)
-	r := q.Search(0x9000, 100)
+	r := search(q, 0x9000, 100)
 	if r.Match {
 		t.Fatal("phantom match")
 	}
@@ -75,7 +75,7 @@ func TestTwoLevelFilterMaintenance(t *testing.T) {
 	// Remove the oldest store; its address leaves the filter, so a
 	// search for it is now filtered.
 	q.Remove(0)
-	r := q.Search(0x1000, 100)
+	r := search(q, 0x1000, 100)
 	if r.Match {
 		t.Error("removed store still matches")
 	}
@@ -89,7 +89,7 @@ func TestTwoLevelFilterMaintenance(t *testing.T) {
 	}
 	q2 := twoLevelQueue(10)
 	q2.Squash(5)
-	if r := q2.Search(0x1000+8*8, 100); r.Match {
+	if r := search(q2, 0x1000+8*8, 100); r.Match {
 		t.Error("squashed store still matches")
 	}
 }
@@ -97,9 +97,9 @@ func TestTwoLevelFilterMaintenance(t *testing.T) {
 func TestFlatQueueUnaffected(t *testing.T) {
 	q := NewStoreQueue(8)
 	q.Insert(1, 0)
-	q.SetAddr(1, 0x1000)
-	q.SetData(1, 5)
-	r := q.Search(0x1000, 9)
+	setAddr(q, 1, 0x1000)
+	setData(q, 1, 5)
+	r := search(q, 0x1000, 9)
 	if !r.Match || r.Latency != 0 {
 		t.Errorf("flat queue changed: %+v", r)
 	}

@@ -64,11 +64,15 @@ type Squash struct {
 
 // AssocLoadQueue is the conventional CAM-based load queue. Searches are
 // counted, along with the occupancy at each search, for the Table 2 /
-// §5.3 energy accounting.
+// §5.3 energy accounting. Like the store queue it is a fixed ring
+// addressed by handle (see the package comment): the resident loads
+// hold handles [head, tail), handle h at slot h&mask.
 type AssocLoadQueue struct {
-	mode    Mode
-	entries []LoadEntry
-	cap     int
+	mode       Mode
+	entries    []LoadEntry
+	head, tail int64 // resident handles are [head, tail)
+	mask       int64
+	cap        int
 	// Searches counts CAM search operations; SearchedEntries
 	// accumulates occupancy over searches (energy scales with entries
 	// searched).
@@ -92,7 +96,9 @@ type AssocLoadQueue struct {
 
 // NewAssocLoadQueue creates a queue of the given capacity and mode.
 func NewAssocLoadQueue(mode Mode, capacity int) *AssocLoadQueue {
-	return &AssocLoadQueue{mode: mode, cap: capacity}
+	n := ringSize(capacity)
+	return &AssocLoadQueue{mode: mode, cap: capacity,
+		entries: make([]LoadEntry, n), mask: int64(n - 1)}
 }
 
 // EnableBloom attaches a counting Bloom filter with the given counter
@@ -108,50 +114,52 @@ func (q *AssocLoadQueue) Bloom() *BloomFilter { return q.bloom }
 func (q *AssocLoadQueue) Mode() Mode { return q.mode }
 
 // Len returns the occupancy.
-func (q *AssocLoadQueue) Len() int { return len(q.entries) }
+func (q *AssocLoadQueue) Len() int { return int(q.tail - q.head) }
 
 // Full reports whether another load can be dispatched. A full load
 // queue stalls dispatch — the size-constrained configurations of
 // Figure 8 bite here.
-func (q *AssocLoadQueue) Full() bool { return len(q.entries) >= q.cap }
+func (q *AssocLoadQueue) Full() bool { return q.Len() >= q.cap }
 
-// Insert adds a load at dispatch in program order.
-func (q *AssocLoadQueue) Insert(tag int64, pc uint64) bool {
+// Insert adds a load at dispatch in program order and returns its
+// handle; it fails when the queue is full.
+func (q *AssocLoadQueue) Insert(tag int64, pc uint64) (int64, bool) {
 	if q.Full() {
-		return false
+		return 0, false
 	}
-	if n := len(q.entries); n > 0 && q.entries[n-1].Tag >= tag {
+	if q.tail > q.head && q.entries[(q.tail-1)&q.mask].Tag >= tag {
 		panic("lsq: load tags must be inserted in program order")
 	}
-	q.entries = append(q.entries, LoadEntry{Tag: tag, PC: pc, ForwardTag: -1})
-	return true
+	h := q.tail
+	q.entries[h&q.mask] = LoadEntry{Tag: tag, PC: pc, ForwardTag: -1}
+	q.tail++
+	return h, true
 }
 
-func (q *AssocLoadQueue) find(tag int64) *LoadEntry {
-	for i := range q.entries {
-		if q.entries[i].Tag == tag {
-			return &q.entries[i]
-		}
+// at returns the resident load with handle h, which must carry the
+// given tag.
+func (q *AssocLoadQueue) at(h, tag int64) *LoadEntry {
+	e := &q.entries[h&q.mask]
+	if h < q.head || h >= q.tail || e.Tag != tag {
+		panic("lsq: load handle does not match its tag")
 	}
-	return nil
+	return e
 }
 
 func (q *AssocLoadQueue) countSearch() {
 	q.Searches++
-	q.SearchedEntries += uint64(len(q.entries))
+	q.SearchedEntries += uint64(q.Len())
 }
 
-// OnIssue records a load's premature execution and, in the insulated
-// and hybrid designs, searches for younger already-issued loads to the
-// same address that must squash (paper Figure 1(c)). It returns the
-// oldest such violation, if any.
+// OnIssue records the premature execution of the load with handle h
+// and the given tag and, in the insulated and hybrid designs, searches
+// for younger already-issued loads to the same address that must
+// squash (paper Figure 1(c)). It returns the oldest such violation, if
+// any.
 //
 //vbr:hotpath
-func (q *AssocLoadQueue) OnIssue(tag int64, addr uint64, forwardTag int64) (Squash, bool) {
-	e := q.find(tag)
-	if e == nil {
-		return Squash{}, false
-	}
+func (q *AssocLoadQueue) OnIssue(h, tag int64, addr uint64, forwardTag int64) (Squash, bool) {
+	e := q.at(h, tag)
 	e.Addr = addr &^ 7
 	e.Issued = true
 	e.ForwardTag = forwardTag
@@ -163,9 +171,10 @@ func (q *AssocLoadQueue) OnIssue(tag int64, addr uint64, forwardTag int64) (Squa
 		return Squash{}, false
 	}
 	q.countSearch()
-	for i := range q.entries {
-		le := &q.entries[i]
-		if le.Tag <= tag || !le.Issued || le.Addr != e.Addr {
+	// The loads younger than this one are exactly the later handles.
+	for g := h + 1; g < q.tail; g++ {
+		le := &q.entries[g&q.mask]
+		if !le.Issued || le.Addr != e.Addr {
 			continue
 		}
 		if q.mode == Hybrid && !le.Marked {
@@ -191,8 +200,8 @@ func (q *AssocLoadQueue) OnStoreAgen(addr uint64, storeTag int64) (Squash, bool)
 	}
 	q.countSearch()
 	addr &^= 7
-	for i := range q.entries {
-		le := &q.entries[i]
+	for h := q.head; h < q.tail; h++ {
+		le := &q.entries[h&q.mask]
 		if le.Tag <= storeTag || !le.Issued || le.Addr != addr {
 			continue
 		}
@@ -233,8 +242,8 @@ func (q *AssocLoadQueue) OnInvalidation(block uint64, commitTag int64) (Squash, 
 		return Squash{}, false
 	}
 	q.countSearch()
-	for i := range q.entries {
-		le := &q.entries[i]
+	for h := q.head; h < q.tail; h++ {
+		le := &q.entries[h&q.mask]
 		if !le.Issued || cache.BlockAddr(le.Addr) != cache.BlockAddr(block) {
 			continue
 		}
@@ -254,27 +263,27 @@ func (q *AssocLoadQueue) OnInvalidation(block uint64, commitTag int64) (Squash, 
 	return Squash{}, false
 }
 
-// Remove deletes the load with the given tag (at commit).
+// Remove pops the oldest load, which must carry the given tag (at
+// commit). Loads commit in program order, so a tag that is not the
+// head means the queue and the ROB disagree.
 func (q *AssocLoadQueue) Remove(tag int64) {
-	for i := range q.entries {
-		if q.entries[i].Tag == tag {
-			q.unfilter(&q.entries[i])
-			q.entries = append(q.entries[:i], q.entries[i+1:]...)
-			return
-		}
+	e := &q.entries[q.head&q.mask]
+	if q.head == q.tail || e.Tag != tag {
+		panic("lsq: committed load is not the queue head")
 	}
+	q.unfilter(e)
+	q.head++
 }
 
 // Squash removes every load with tag >= fromTag.
 func (q *AssocLoadQueue) Squash(fromTag int64) {
-	for i := range q.entries {
-		if q.entries[i].Tag >= fromTag {
-			for j := i; j < len(q.entries); j++ {
-				q.unfilter(&q.entries[j])
-			}
-			q.entries = q.entries[:i]
+	for q.tail > q.head {
+		e := &q.entries[(q.tail-1)&q.mask]
+		if e.Tag < fromTag {
 			return
 		}
+		q.unfilter(e)
+		q.tail--
 	}
 }
 

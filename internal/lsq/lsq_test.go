@@ -5,12 +5,60 @@ import (
 	"testing/quick"
 )
 
+// The pipeline addresses queue entries by the handles Insert returns
+// and gives each load its store colour at dispatch. These helpers let
+// the tests below speak in tags instead, deriving the handle or colour
+// the pipeline would have recorded.
+
+func inserted(_ int64, ok bool) bool { return ok }
+
+// storeHandle returns the handle of the resident store with tag.
+func storeHandle(q *StoreQueue, tag int64) int64 {
+	for h := q.head; h < q.tail; h++ {
+		if q.tags[h&q.mask] == tag {
+			return h
+		}
+	}
+	panic("no resident store with that tag")
+}
+
+// colourOf returns the store colour of a load with the given tag: the
+// handle of the oldest resident store younger than it.
+func colourOf(q *StoreQueue, loadTag int64) int64 {
+	h := q.head
+	for h < q.tail && q.tags[h&q.mask] < loadTag {
+		h++
+	}
+	return h
+}
+
+func setAddr(q *StoreQueue, tag int64, addr uint64) { q.SetAddr(storeHandle(q, tag), tag, addr) }
+func setData(q *StoreQueue, tag int64, data uint64) { q.SetData(storeHandle(q, tag), tag, data) }
+
+func search(q *StoreQueue, addr uint64, loadTag int64) SearchResult {
+	return q.Search(addr, colourOf(q, loadTag))
+}
+
+func unresolvedBefore(q *StoreQueue, loadTag int64) bool {
+	return q.UnresolvedBefore(colourOf(q, loadTag))
+}
+
+// issue calls OnIssue for the resident load with the given tag.
+func issue(q *AssocLoadQueue, tag int64, addr uint64, forwardTag int64) (Squash, bool) {
+	for h := q.head; h < q.tail; h++ {
+		if q.entries[h&q.mask].Tag == tag {
+			return q.OnIssue(h, tag, addr, forwardTag)
+		}
+	}
+	panic("no resident load with that tag")
+}
+
 func TestStoreQueueInsertFull(t *testing.T) {
 	q := NewStoreQueue(2)
-	if !q.Insert(1, 0x10) || !q.Insert(2, 0x14) {
+	if !inserted(q.Insert(1, 0x10)) || !inserted(q.Insert(2, 0x14)) {
 		t.Fatal("inserts into empty queue failed")
 	}
-	if q.Insert(3, 0x18) {
+	if inserted(q.Insert(3, 0x18)) {
 		t.Error("insert into full queue should fail")
 	}
 	if q.Len() != 2 || !q.Full() {
@@ -33,13 +81,13 @@ func TestStoreQueueForwarding(t *testing.T) {
 	q := NewStoreQueue(8)
 	q.Insert(1, 0x10)
 	q.Insert(3, 0x14)
-	q.SetAddr(1, 0x1000)
-	q.SetData(1, 42)
-	q.SetAddr(3, 0x2000)
-	q.SetData(3, 99)
+	setAddr(q, 1, 0x1000)
+	setData(q, 1, 42)
+	setAddr(q, 3, 0x2000)
+	setData(q, 3, 99)
 
 	// Load tag 5 at 0x1000 forwards from store 1.
-	r := q.Search(0x1000, 5)
+	r := search(q, 0x1000, 5)
 	if !r.Match || r.MatchTag != 1 || r.Data != 42 || !r.DataReady {
 		t.Errorf("forward failed: %+v", r)
 	}
@@ -47,7 +95,7 @@ func TestStoreQueueForwarding(t *testing.T) {
 		t.Error("all addresses resolved; no unresolved flag expected")
 	}
 	// A load older than both stores sees nothing.
-	r = q.Search(0x1000, 0)
+	r = search(q, 0x1000, 0)
 	if r.Match || r.UnresolvedOlder {
 		t.Errorf("older load should see empty queue: %+v", r)
 	}
@@ -57,11 +105,11 @@ func TestStoreQueueYoungestMatchWins(t *testing.T) {
 	q := NewStoreQueue(8)
 	q.Insert(1, 0)
 	q.Insert(2, 0)
-	q.SetAddr(1, 0x1000)
-	q.SetData(1, 1)
-	q.SetAddr(2, 0x1000)
-	q.SetData(2, 2)
-	r := q.Search(0x1000, 9)
+	setAddr(q, 1, 0x1000)
+	setData(q, 1, 1)
+	setAddr(q, 2, 0x1000)
+	setData(q, 2, 2)
+	r := search(q, 0x1000, 9)
 	if r.MatchTag != 2 || r.Data != 2 {
 		t.Errorf("should forward from youngest older store: %+v", r)
 	}
@@ -71,9 +119,9 @@ func TestStoreQueueUnresolvedOlder(t *testing.T) {
 	q := NewStoreQueue(8)
 	q.Insert(1, 0)
 	q.Insert(2, 0) // address never set
-	q.SetAddr(1, 0x1000)
-	q.SetData(1, 7)
-	r := q.Search(0x3000, 9)
+	setAddr(q, 1, 0x1000)
+	setData(q, 1, 7)
+	r := search(q, 0x3000, 9)
 	if r.Match {
 		t.Error("no address match expected")
 	}
@@ -81,14 +129,14 @@ func TestStoreQueueUnresolvedOlder(t *testing.T) {
 		t.Error("store 2 is unresolved; flag expected")
 	}
 	// Unresolved store *younger than the match* also sets the flag.
-	r = q.Search(0x1000, 9)
+	r = search(q, 0x1000, 9)
 	if !r.Match || !r.UnresolvedOlder {
 		t.Errorf("match with younger unresolved store: %+v", r)
 	}
-	if !q.UnresolvedBefore(9) {
+	if !unresolvedBefore(q, 9) {
 		t.Error("UnresolvedBefore should see store 2")
 	}
-	if q.UnresolvedBefore(2) {
+	if unresolvedBefore(q, 2) {
 		t.Error("store 1 is resolved")
 	}
 }
@@ -96,8 +144,8 @@ func TestStoreQueueUnresolvedOlder(t *testing.T) {
 func TestStoreQueueMatchWithoutData(t *testing.T) {
 	q := NewStoreQueue(8)
 	q.Insert(1, 0)
-	q.SetAddr(1, 0x1000)
-	r := q.Search(0x1000, 5)
+	setAddr(q, 1, 0x1000)
+	r := search(q, 0x1000, 5)
 	if !r.Match || r.DataReady {
 		t.Errorf("address match with pending data: %+v", r)
 	}
@@ -106,12 +154,12 @@ func TestStoreQueueMatchWithoutData(t *testing.T) {
 func TestStoreQueueWordGranularity(t *testing.T) {
 	q := NewStoreQueue(8)
 	q.Insert(1, 0)
-	q.SetAddr(1, 0x1000)
-	q.SetData(1, 7)
-	if r := q.Search(0x1004, 5); !r.Match {
+	setAddr(q, 1, 0x1000)
+	setData(q, 1, 7)
+	if r := search(q, 0x1004, 5); !r.Match {
 		t.Error("same word, different byte offset should match")
 	}
-	if r := q.Search(0x1008, 5); r.Match {
+	if r := search(q, 0x1008, 5); r.Match {
 		t.Error("next word should not match")
 	}
 }
@@ -143,7 +191,7 @@ func TestStoreQueueRemoveSquash(t *testing.T) {
 
 func TestAssocLQInsertCapacity(t *testing.T) {
 	q := NewAssocLoadQueue(Snooping, 2)
-	if !q.Insert(1, 0) || !q.Insert(2, 0) || q.Insert(3, 0) {
+	if !inserted(q.Insert(1, 0)) || !inserted(q.Insert(2, 0)) || inserted(q.Insert(3, 0)) {
 		t.Error("capacity enforcement failed")
 	}
 }
@@ -153,7 +201,7 @@ func TestRAWViolationDetection(t *testing.T) {
 	// resolves; the store agen search finds it.
 	q := NewAssocLoadQueue(Snooping, 8)
 	q.Insert(5, 0x100) // load, program order after store tag 3
-	q.OnIssue(5, 0x1000, -1)
+	issue(q, 5, 0x1000, -1)
 	sq, found := q.OnStoreAgen(0x1000, 3)
 	if !found || sq.Tag != 5 || sq.PC != 0x100 {
 		t.Fatalf("RAW violation not found: %+v %v", sq, found)
@@ -171,14 +219,14 @@ func TestRAWForwardedFromYoungerStoreIsSafe(t *testing.T) {
 	q := NewAssocLoadQueue(Snooping, 8)
 	q.Insert(5, 0x100)
 	// Load forwarded from store tag 4 (younger than resolving store 3).
-	q.OnIssue(5, 0x1000, 4)
+	issue(q, 5, 0x1000, 4)
 	if _, found := q.OnStoreAgen(0x1000, 3); found {
 		t.Error("load with value from a younger store must not squash")
 	}
 	// But a store younger than the forwarding store is a violation.
 	q2 := NewAssocLoadQueue(Snooping, 8)
 	q2.Insert(5, 0x100)
-	q2.OnIssue(5, 0x1000, 2)
+	issue(q2, 5, 0x1000, 2)
 	if _, found := q2.OnStoreAgen(0x1000, 3); !found {
 		t.Error("store between forwarder and load must squash the load")
 	}
@@ -190,8 +238,8 @@ func TestSnoopingInvalidation(t *testing.T) {
 	q := NewAssocLoadQueue(Snooping, 8)
 	q.Insert(1, 0x100)
 	q.Insert(2, 0x104)
-	q.OnIssue(1, 0x1000, -1)
-	q.OnIssue(2, 0x1040, -1)
+	issue(q, 1, 0x1000, -1)
+	issue(q, 2, 0x1040, -1)
 	sq, found := q.OnInvalidation(0x1040, 1)
 	if !found || sq.Tag != 2 {
 		t.Fatalf("snoop should squash load 2: %+v %v", sq, found)
@@ -206,7 +254,7 @@ func TestSnoopCommitPointExemption(t *testing.T) {
 	// paper §2.1)...
 	q := NewAssocLoadQueue(Snooping, 8)
 	q.Insert(1, 0x100)
-	q.OnIssue(1, 0x1000, -1)
+	issue(q, 1, 0x1000, -1)
 	if _, found := q.OnInvalidation(0x1000, 1); found {
 		t.Error("commit-point load must never squash on snoops")
 	}
@@ -229,8 +277,8 @@ func TestSnoopInFlightLoadSquashes(t *testing.T) {
 	q := NewAssocLoadQueue(Snooping, 8)
 	q.Insert(1, 0x100)
 	q.Insert(2, 0x104)
-	q.OnIssue(1, 0x1000, -1)
-	q.OnIssue(2, 0x1000, -1)
+	issue(q, 1, 0x1000, -1)
+	issue(q, 2, 0x1000, -1)
 	sq, found := q.OnInvalidation(0x1000, 0)
 	if !found || sq.Tag != 1 {
 		t.Fatalf("oldest in-flight load must squash: %+v %v", sq, found)
@@ -243,11 +291,11 @@ func TestInsulatedLoadIssueSearch(t *testing.T) {
 	q.Insert(1, 0x100)
 	q.Insert(2, 0x104)
 	// Younger load 2 issues first.
-	if _, found := q.OnIssue(2, 0x1000, -1); found {
+	if _, found := issue(q, 2, 0x1000, -1); found {
 		t.Error("first issue cannot conflict")
 	}
 	// Older load 1 issues to the same address: load 2 must squash.
-	sq, found := q.OnIssue(1, 0x1000, -1)
+	sq, found := issue(q, 1, 0x1000, -1)
 	if !found || sq.Tag != 2 {
 		t.Fatalf("insulated issue search failed: %+v %v", sq, found)
 	}
@@ -264,8 +312,8 @@ func TestInsulatedDifferentAddressNoSquash(t *testing.T) {
 	q := NewAssocLoadQueue(Insulated, 8)
 	q.Insert(1, 0x100)
 	q.Insert(2, 0x104)
-	q.OnIssue(2, 0x2000, -1)
-	if _, found := q.OnIssue(1, 0x1000, -1); found {
+	issue(q, 2, 0x2000, -1)
+	if _, found := issue(q, 1, 0x1000, -1); found {
 		t.Error("different addresses must not conflict")
 	}
 }
@@ -277,12 +325,12 @@ func TestHybridMarkThenSquash(t *testing.T) {
 	q.Insert(1, 0x100)
 	q.Insert(2, 0x104)
 	q.Insert(3, 0x108)
-	q.OnIssue(2, 0x1040, -1)
+	issue(q, 2, 0x1040, -1)
 	if _, found := q.OnInvalidation(0x1040, 1); found {
 		t.Fatal("hybrid snoop must mark, not squash")
 	}
 	// Older load 1 issues to the same address: marked load 2 squashes.
-	sq, found := q.OnIssue(1, 0x1040, -1)
+	sq, found := issue(q, 1, 0x1040, -1)
 	if !found || sq.Tag != 2 {
 		t.Fatalf("marked conflict not squashed: %+v %v", sq, found)
 	}
@@ -290,8 +338,8 @@ func TestHybridMarkThenSquash(t *testing.T) {
 	q2 := NewAssocLoadQueue(Hybrid, 8)
 	q2.Insert(1, 0x100)
 	q2.Insert(2, 0x104)
-	q2.OnIssue(2, 0x1040, -1)
-	if _, found := q2.OnIssue(1, 0x1040, -1); found {
+	issue(q2, 2, 0x1040, -1)
+	if _, found := issue(q2, 1, 0x1040, -1); found {
 		t.Error("hybrid without snoop mark must not squash")
 	}
 }
@@ -300,7 +348,7 @@ func TestSearchAccounting(t *testing.T) {
 	q := NewAssocLoadQueue(Snooping, 8)
 	q.Insert(1, 0)
 	q.Insert(2, 0)
-	q.OnIssue(1, 0x1000, -1) // snooping: no search at issue
+	issue(q, 1, 0x1000, -1) // snooping: no search at issue
 	if q.Searches != 0 {
 		t.Errorf("snooping issue should not search; Searches=%d", q.Searches)
 	}
@@ -315,7 +363,7 @@ func TestSearchAccounting(t *testing.T) {
 
 	ins := NewAssocLoadQueue(Insulated, 8)
 	ins.Insert(1, 0)
-	ins.OnIssue(1, 0x1000, -1)
+	issue(ins, 1, 0x1000, -1)
 	if ins.Searches != 1 {
 		t.Errorf("insulated issue must search; Searches=%d", ins.Searches)
 	}
@@ -332,7 +380,7 @@ func TestLoadQueueRemoveSquash(t *testing.T) {
 		t.Errorf("Len = %d, want 1", q.Len())
 	}
 	// Remaining load is tag 2 and now at the commit point: snoops skip it.
-	q.OnIssue(2, 0x1000, -1)
+	issue(q, 2, 0x1000, -1)
 	if _, found := q.OnInvalidation(0x1000, 2); found {
 		t.Error("commit-point skip after remove/squash failed")
 	}
@@ -359,13 +407,46 @@ func TestStoreQueueSearchProperty(t *testing.T) {
 			}
 			tag := int64(i)
 			q.Insert(tag, 0)
-			q.SetAddr(tag, uint64(a)*8)
-			q.SetData(tag, uint64(i))
+			setAddr(q, tag, uint64(a)*8)
+			setData(q, tag, uint64(i))
 		}
-		r := q.Search(uint64(addrs[0])*8, int64(loadTag))
+		r := search(q, uint64(addrs[0])*8, int64(loadTag))
 		return !r.Match || r.MatchTag < int64(loadTag)
 	}, &quick.Config{MaxCount: 200})
 	if err != nil {
 		t.Error(err)
 	}
+}
+
+// TestQueueDesyncPanics pins that a queue and the ROB disagreeing is
+// loud: a handle whose slot holds another tag or no resident entry,
+// and a commit of anything but the head, panic like an out-of-order
+// Insert does.
+func TestQueueDesyncPanics(t *testing.T) {
+	sq := NewStoreQueue(4)
+	h1, _ := sq.Insert(1, 0)
+	sq.Insert(2, 0)
+	mustPanic(t, "store SetAddr with a mismatched tag", func() { sq.SetAddr(h1, 2, 0x1000) })
+	mustPanic(t, "store Remove of a non-head store", func() { sq.Remove(2) })
+	sq.Remove(1)
+	mustPanic(t, "store SetData through a committed handle", func() { sq.SetData(h1, 1, 7) })
+	mustPanic(t, "Remove from an empty queue", func() { NewStoreQueue(2).Remove(0) })
+
+	lq := NewAssocLoadQueue(Insulated, 4)
+	g1, _ := lq.Insert(1, 0)
+	lq.Insert(2, 0)
+	mustPanic(t, "load OnIssue with a mismatched tag", func() { lq.OnIssue(g1, 2, 0x1000, -1) })
+	mustPanic(t, "load Remove of a non-head load", func() { lq.Remove(2) })
+	lq.Squash(1)
+	mustPanic(t, "load OnIssue through a squashed handle", func() { lq.OnIssue(g1, 1, 0x1000, -1) })
+}
+
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s should panic", what)
+		}
+	}()
+	f()
 }

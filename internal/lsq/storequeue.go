@@ -7,7 +7,17 @@
 // core, next to the replay engine that owns it.
 //
 // Tags are reorder-buffer sequence numbers: monotonically increasing,
-// never reused within a run, so tag order is program order.
+// never reused within a run, so tag order is program order. Both queues
+// are fixed rings addressed by handle: Insert returns the entry's
+// insert sequence number, the pipeline keeps it in the instruction's
+// ROB entry, and every later access by that instruction goes straight
+// to its slot, checking the slot's tag and panicking on a mismatch.
+// Commit pops the head and squash truncates the tail, so neither moves
+// a resident entry; nothing looks an entry up by scanning tags. A load
+// also keeps the store queue's next handle at its dispatch (its store
+// colour): exactly the stores below the colour are older than it, so a
+// forwarding search starts there instead of stepping over younger
+// stores.
 package lsq
 
 // StoreEntry is one in-flight store.
@@ -58,14 +68,15 @@ type SearchResult struct {
 // level-two buffer whose lookups are avoided by a membership filter
 // when no resolved older store can match.
 //
-// Internally the queue is struct-of-arrays (DESIGN.md §12): the fields
-// every Search touches for every entry — tag, resolved address, and the
-// resolved bit — live in dense parallel arrays the scan walks without
-// loading the cold payload (PC, data), which is only read on a match.
-// All arrays are preallocated to capacity; steady state never grows
-// them. Indices align across all six arrays at all times.
+// Internally the queue is a struct-of-arrays ring (DESIGN.md §12): the
+// fields every Search touches for every entry — tag, resolved address,
+// and the resolved bit — live in dense parallel arrays the scan walks
+// without loading the cold payload (PC, data), which is only read on a
+// match. The resident stores hold handles [head, tail); handle h lives
+// at slot h&mask of every array. The arrays are sized to the capacity
+// rounded up to a power of two and never grow.
 type StoreQueue struct {
-	// Hot scan state, one element per in-flight store, program order.
+	// Hot scan state, one slot per handle.
 	tags   []int64
 	addrs  []uint64
 	addrOK []bool
@@ -74,7 +85,9 @@ type StoreQueue struct {
 	data   []uint64
 	dataOK []bool
 
-	cap int
+	head, tail int64 // resident handles are [head, tail)
+	mask       int64
+	cap        int
 	// Searches counts associative lookups (loads probing for
 	// forwarding).
 	Searches uint64
@@ -99,120 +112,154 @@ func (q *StoreQueue) EnableTwoLevel(l1Size, l2Latency, filterCounters int) {
 	q.filter = NewBloomFilter(filterCounters, 2)
 }
 
+// TwoLevel reports whether the queue is hierarchical.
+func (q *StoreQueue) TwoLevel() bool { return q.l1Size > 0 }
+
 // NewStoreQueue creates a queue with the given capacity.
 func NewStoreQueue(capacity int) *StoreQueue {
+	n := ringSize(capacity)
 	return &StoreQueue{
 		cap:    capacity,
-		tags:   make([]int64, 0, capacity),
-		addrs:  make([]uint64, 0, capacity),
-		addrOK: make([]bool, 0, capacity),
-		pcs:    make([]uint64, 0, capacity),
-		data:   make([]uint64, 0, capacity),
-		dataOK: make([]bool, 0, capacity),
+		mask:   int64(n - 1),
+		tags:   make([]int64, n),
+		addrs:  make([]uint64, n),
+		addrOK: make([]bool, n),
+		pcs:    make([]uint64, n),
+		data:   make([]uint64, n),
+		dataOK: make([]bool, n),
 	}
+}
+
+// ringSize returns the smallest power of two holding capacity entries,
+// so a handle's slot is a mask rather than a division.
+func ringSize(capacity int) int {
+	n := 1
+	for n < capacity {
+		n <<= 1
+	}
+	return n
 }
 
 // Len returns the current occupancy.
-func (q *StoreQueue) Len() int { return len(q.tags) }
+func (q *StoreQueue) Len() int { return int(q.tail - q.head) }
 
 // Full reports whether another store can be inserted.
-func (q *StoreQueue) Full() bool { return len(q.tags) >= q.cap }
+func (q *StoreQueue) Full() bool { return q.Len() >= q.cap }
 
-// Insert adds a store at dispatch; it fails when the queue is full.
-// Tags must arrive in increasing order.
-func (q *StoreQueue) Insert(tag int64, pc uint64) bool {
+// NextHandle returns the handle the next Insert will assign. A load
+// records it at dispatch as its store colour: the resident stores with
+// smaller handles are exactly the stores older than the load. A squash
+// that frees a handle below the colour also kills the load, so a
+// resident load's colour never exceeds NextHandle.
+func (q *StoreQueue) NextHandle() int64 { return q.tail }
+
+// Insert adds a store at dispatch and returns its handle; it fails when
+// the queue is full. Tags must arrive in increasing order.
+func (q *StoreQueue) Insert(tag int64, pc uint64) (int64, bool) {
 	if q.Full() {
-		return false
+		return 0, false
 	}
-	if n := len(q.tags); n > 0 && q.tags[n-1] >= tag {
+	if q.tail > q.head && q.tags[(q.tail-1)&q.mask] >= tag {
 		panic("lsq: store tags must be inserted in program order")
 	}
-	q.tags = append(q.tags, tag)
-	q.addrs = append(q.addrs, 0)
-	q.addrOK = append(q.addrOK, false)
-	q.pcs = append(q.pcs, pc)
-	q.data = append(q.data, 0)
-	q.dataOK = append(q.dataOK, false)
+	h := q.tail
+	i := h & q.mask
+	q.tags[i] = tag
+	q.addrs[i] = 0
+	q.addrOK[i] = false
+	q.pcs[i] = pc
+	q.data[i] = 0
+	q.dataOK[i] = false
+	q.tail++
 	q.unresolved++
-	return true
+	return h, true
 }
 
-// findIdx returns the index of the store with the given tag, or -1.
-func (q *StoreQueue) findIdx(tag int64) int {
-	for i, t := range q.tags {
-		if t == tag {
-			return i
+// slot returns the array index of the resident store with handle h,
+// which must carry the given tag.
+func (q *StoreQueue) slot(h, tag int64) int64 {
+	i := h & q.mask
+	if h < q.head || h >= q.tail || q.tags[i] != tag {
+		panic("lsq: store handle does not match its tag")
+	}
+	return i
+}
+
+// SetAddr records the resolved effective address (agen) of the store
+// with handle h and the given tag.
+func (q *StoreQueue) SetAddr(h, tag int64, addr uint64) {
+	i := q.slot(h, tag)
+	if !q.addrOK[i] {
+		q.unresolved--
+		if q.filter != nil {
+			q.filter.Insert(addr &^ 7)
 		}
 	}
-	return -1
+	q.addrs[i] = addr
+	q.addrOK[i] = true
 }
 
-// SetAddr records the store's resolved effective address (agen).
-func (q *StoreQueue) SetAddr(tag int64, addr uint64) {
-	if i := q.findIdx(tag); i >= 0 {
-		if !q.addrOK[i] {
-			q.unresolved--
-			if q.filter != nil {
-				q.filter.Insert(addr &^ 7)
-			}
-		}
-		q.addrs[i] = addr
-		q.addrOK[i] = true
-	}
+// SetData records the data operand of the store with handle h and the
+// given tag.
+func (q *StoreQueue) SetData(h, tag int64, data uint64) {
+	i := q.slot(h, tag)
+	q.data[i] = data
+	q.dataOK[i] = true
 }
 
-// SetData records the store's data operand.
-func (q *StoreQueue) SetData(tag int64, data uint64) {
-	if i := q.findIdx(tag); i >= 0 {
-		q.data[i] = data
-		q.dataOK[i] = true
-	}
-}
-
-// Entry returns a copy of the entry with the given tag.
+// Entry returns a copy of the entry with the given tag, found by binary
+// search (ring order is tag order). It serves the store-set predictor,
+// which names a store by tag alone.
 func (q *StoreQueue) Entry(tag int64) (StoreEntry, bool) {
-	if i := q.findIdx(tag); i >= 0 {
-		return StoreEntry{
-			Tag: q.tags[i], PC: q.pcs[i],
-			Addr: q.addrs[i], AddrValid: q.addrOK[i],
-			Data: q.data[i], DataValid: q.dataOK[i],
-		}, true
+	lo, hi := q.head, q.tail
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if q.tags[mid&q.mask] < tag {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	return StoreEntry{}, false
+	i := lo & q.mask
+	if lo == q.tail || q.tags[i] != tag {
+		return StoreEntry{}, false
+	}
+	return StoreEntry{
+		Tag: q.tags[i], PC: q.pcs[i],
+		Addr: q.addrs[i], AddrValid: q.addrOK[i],
+		Data: q.data[i], DataValid: q.dataOK[i],
+	}, true
 }
 
 // Search probes for the youngest older store matching addr, as a load
-// issuing with the given tag would. Word (8-byte) granularity. In
-// two-level mode a match found beyond the level-one region reports the
-// level-two latency, and the level-two probe is skipped entirely when
-// the membership filter proves no resolved store there can match (and
-// no unresolved store could alias).
+// with the given store colour (NextHandle at its dispatch) would. Word
+// (8-byte) granularity. The scan starts just below the colour, so it
+// tests only stores older than the load. In two-level mode a match
+// found beyond the level-one region reports the level-two latency, and
+// the level-two probe is skipped entirely when the membership filter
+// proves no resolved store there can match (and no unresolved store
+// could alias). The level-two accounting is that of a scan from the
+// queue's young end: a search finding no match in level one crosses
+// into level two whenever the queue holds any level-two store, even
+// one younger than the load.
 //
 //vbr:hotpath
-func (q *StoreQueue) Search(addr uint64, loadTag int64) SearchResult {
+func (q *StoreQueue) Search(addr uint64, colour int64) SearchResult {
 	q.Searches++
 	addr &^= 7
 	var r SearchResult
-	n := len(q.tags)
-	l1Boundary := -1
-	if q.l1Size > 0 {
-		l1Boundary = n - q.l1Size
-	}
-	for i := n - 1; i >= 0; i-- {
-		if q.l1Size > 0 && i < l1Boundary {
-			// Crossing into the level-two buffer: consult the filter
-			// once. With no unresolved stores anywhere and a filter
-			// miss, nothing deeper can match or alias.
-			if q.unresolved == 0 && q.filter != nil && !q.filter.MayContain(addr) {
-				q.L2Filtered++
+	// Handles below l2Top are level two; crossing is pending while the
+	// queue holds any.
+	l2Top := q.tail - int64(q.l1Size)
+	crossing := q.l1Size > 0 && l2Top > q.head
+	for h := colour - 1; h >= q.head; h-- {
+		if crossing && h < l2Top {
+			if q.l2Skipped(addr) {
 				return r
 			}
-			q.L2Searches++
-			l1Boundary = -1 // count the crossing only once
+			crossing = false
 		}
-		if q.tags[i] >= loadTag {
-			continue
-		}
+		i := h & q.mask
 		if !q.addrOK[i] {
 			r.UnresolvedOlder = true
 			continue
@@ -223,23 +270,36 @@ func (q *StoreQueue) Search(addr uint64, loadTag int64) SearchResult {
 			r.MatchPC = q.pcs[i]
 			r.Data = q.data[i]
 			r.DataReady = q.dataOK[i]
-			if q.l1Size > 0 && i < n-q.l1Size {
+			if q.l1Size > 0 && h < l2Top {
 				r.Latency = q.l2Latency
 			}
-			break
+			return r
 		}
+	}
+	if crossing {
+		q.l2Skipped(addr)
 	}
 	return r
 }
 
-// UnresolvedBefore reports whether any store older than tag has an
-// unresolved address.
-func (q *StoreQueue) UnresolvedBefore(tag int64) bool {
-	for i, t := range q.tags {
-		if t >= tag {
-			break
-		}
-		if !q.addrOK[i] {
+// l2Skipped consults the membership filter as a search crosses into
+// level two and counts the outcome. With no unresolved stores anywhere
+// and a filter miss, nothing deeper can match or alias, so the
+// level-two probe is skipped.
+func (q *StoreQueue) l2Skipped(addr uint64) bool {
+	if q.unresolved == 0 && !q.filter.MayContain(addr) {
+		q.L2Filtered++
+		return true
+	}
+	q.L2Searches++
+	return false
+}
+
+// UnresolvedBefore reports whether any store older than a load with
+// the given store colour has an unresolved address.
+func (q *StoreQueue) UnresolvedBefore(colour int64) bool {
+	for h := q.head; h < colour; h++ {
+		if !q.addrOK[h&q.mask] {
 			return true
 		}
 	}
@@ -248,54 +308,44 @@ func (q *StoreQueue) UnresolvedBefore(tag int64) bool {
 
 // OldestTag returns the tag of the oldest in-flight store, or -1.
 func (q *StoreQueue) OldestTag() int64 {
-	if len(q.tags) == 0 {
+	if q.head == q.tail {
 		return -1
 	}
-	return q.tags[0]
+	return q.tags[q.head&q.mask]
 }
 
 // HasOlderThan reports whether any store older than tag is in flight.
 func (q *StoreQueue) HasOlderThan(tag int64) bool {
-	return len(q.tags) > 0 && q.tags[0] < tag
+	return q.head < q.tail && q.tags[q.head&q.mask] < tag
 }
 
-// Remove deletes the store with the given tag (at commit, after its
-// cache write).
+// Remove pops the oldest store, which must carry the given tag (at
+// commit, after its cache write). Stores commit in program order, so a
+// tag that is not the head means the queue and the ROB disagree.
 func (q *StoreQueue) Remove(tag int64) {
-	i := q.findIdx(tag)
-	if i < 0 {
-		return
+	i := q.head & q.mask
+	if q.head == q.tail || q.tags[i] != tag {
+		panic("lsq: committed store is not the queue head")
 	}
-	q.dropAt(i)
-	q.tags = append(q.tags[:i], q.tags[i+1:]...)
-	q.addrs = append(q.addrs[:i], q.addrs[i+1:]...)
-	q.addrOK = append(q.addrOK[:i], q.addrOK[i+1:]...)
-	q.pcs = append(q.pcs[:i], q.pcs[i+1:]...)
-	q.data = append(q.data[:i], q.data[i+1:]...)
-	q.dataOK = append(q.dataOK[:i], q.dataOK[i+1:]...)
+	q.drop(i)
+	q.head++
 }
 
 // Squash removes every store with tag >= fromTag.
 func (q *StoreQueue) Squash(fromTag int64) {
-	for i, t := range q.tags {
-		if t >= fromTag {
-			for j := i; j < len(q.tags); j++ {
-				q.dropAt(j)
-			}
-			q.tags = q.tags[:i]
-			q.addrs = q.addrs[:i]
-			q.addrOK = q.addrOK[:i]
-			q.pcs = q.pcs[:i]
-			q.data = q.data[:i]
-			q.dataOK = q.dataOK[:i]
+	for q.tail > q.head {
+		i := (q.tail - 1) & q.mask
+		if q.tags[i] < fromTag {
 			return
 		}
+		q.drop(i)
+		q.tail--
 	}
 }
 
-// dropAt maintains the unresolved count and membership filter as the
-// entry at index i leaves the queue.
-func (q *StoreQueue) dropAt(i int) {
+// drop maintains the unresolved count and membership filter as the
+// entry at slot i leaves the queue.
+func (q *StoreQueue) drop(i int64) {
 	if !q.addrOK[i] {
 		q.unresolved--
 	} else if q.filter != nil {

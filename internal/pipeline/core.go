@@ -69,20 +69,23 @@ type Core struct {
 	// when a stage's scan provably has no work this cycle. Step elides
 	// those scans and Quiescent composes them into the fast-forward
 	// predicate. A skipped scan is exactly a scan that would have
-	// mutated nothing and counted nothing, so skipping is bit-identical
-	// to full stepping. The state is kept whatever skipOff says;
-	// skipOff (the -no-stageskip escape hatch) only stops Step from
-	// reading it.
+	// mutated nothing and counted nothing beyond the issue stage's probe
+	// charge, which the skip adds, so skipping is bit-identical to full
+	// stepping. The state is kept whatever skipOff says; skipOff (the
+	// -no-stageskip escape hatch) only stops Step from reading it.
 	skipOff     bool
 	wbMinDue    int64 // lower bound on the earliest pending completion cycle
 	psdQuiet    bool  // no store-data capture can progress until an event
 	commitQuiet bool  // the ROB head cannot commit until an event
 	issueQuiet  bool  // no issue-queue entry can act until an event
-	issueProbe  bool  // scratch: a load reached the probe path this scan
 	replayQuiet bool  // the replay scan cannot act before replayWake until an event
 	replayWake  int64 // first in-flight compare's completion cycle, noDue if none
 	replayBase  int   // settled ROB prefix the replay scan starts past
 	loads       loadTracker
+	// The probe charge of a sleeping issue stage: the store-queue
+	// searches and simple-predictor waits its last scan counted, which
+	// each skipped issue cycle repeats exactly (see issue).
+	probeSearches, probeWaits uint64
 
 	// Skip counts the stage scans elided by the readiness layer; it
 	// lives outside Stats so a skipping run's Result stays bit-identical
@@ -297,6 +300,7 @@ func (c *Core) Step() {
 			c.issue()
 		} else {
 			c.Skip.Issue++
+			c.chargeProbes(1)
 		}
 	}
 	c.dispatch()
@@ -358,7 +362,7 @@ func (c *Core) complete(e *entry) bool {
 	case e.isStore:
 		// Store agen completing.
 		e.agenDone = true
-		c.sq.SetAddr(e.tag, e.addr)
+		c.sq.SetAddr(e.sqHandle, e.tag, e.addr)
 		if e.dataDone {
 			e.done = true
 		} else {
@@ -430,7 +434,7 @@ func (c *Core) captureStoreData() {
 		if v, ok := e.srcReady(2); ok {
 			e.value = v
 			e.dataDone = true
-			c.sq.SetData(e.tag, v)
+			c.sq.SetData(e.sqHandle, e.tag, v)
 			if e.agenDone {
 				e.done = true
 				c.commitQuiet = false // the store may be the ROB head
@@ -625,16 +629,7 @@ func (c *Core) replayStage() {
 			// so nothing younger may replay either.
 			break
 		}
-		fe := c.eng.Queue.Find(e.tag)
-		if fe == nil {
-			e.replayedOK = true
-			c.commitQuiet = false
-			quiet = false
-			if i == c.replayBase {
-				c.replayBase++
-			}
-			continue
-		}
+		fe := c.eng.Queue.Find(e.lqHandle, e.tag)
 		if !e.replayDecided {
 			quiet = false
 			e.replayDecided = true
@@ -796,7 +791,7 @@ func (c *Core) issue() {
 	// entries issued earlier this cycle then linger (inIQ=false) until
 	// this loop drops them next cycle — before dispatch looks at the
 	// queue again, so occupancy checks never see them.
-	c.issueProbe = false
+	searches, waits := c.sq.Searches, c.simple.Waits
 	acted := false
 	out := 0
 	for i := 0; i < len(c.iq); i++ {
@@ -822,16 +817,33 @@ func (c *Core) issue() {
 	clearTail(c.iq[out:])
 	c.iq = c.iq[:out]
 	// Sleep the stage when this scan provably did nothing and would do
-	// nothing next cycle: nothing issued, no stray dropped, and no load
-	// reached the probe path (predictor and store-queue probes count
-	// their lookups, so a cycle that probes is never skippable, neither
-	// by this layer nor by the fast-forward). Because nothing
-	// issued, every per-class budget was still full, so each survivor
-	// failed purely on operand readiness — which only a completion, a
-	// dispatch, or a squash can change; those clear the flag.
-	if !acted && !c.issueProbe {
-		c.issueQuiet = true
+	// nothing else next cycle: nothing issued and no stray dropped.
+	// Because nothing issued, every per-class budget was still full, so
+	// each survivor failed on operand readiness, on a dependence-
+	// predictor wait, or on a forwarding store's missing data — state
+	// only a completion, a dispatch, or a squash can change, and those
+	// clear the flag. Until then each cycle's scan would repeat this
+	// one's probes, so the probe charge records the lookups they
+	// counted and every skipped cycle adds it (chargeProbes). The one
+	// exception is a two-level store queue whose searches also counted
+	// level-two probes: those depend on the queue's occupancy, which
+	// commit changes, so such a scan never sleeps.
+	if acted {
+		return
 	}
+	ds := c.sq.Searches - searches
+	if ds == 0 || !c.sq.TwoLevel() {
+		c.issueQuiet = true
+		c.probeSearches, c.probeWaits = ds, c.simple.Waits-waits
+	}
+}
+
+// chargeProbes adds the probe charge of n skipped issue cycles.
+//
+//vbr:hotpath
+func (c *Core) chargeProbes(n uint64) {
+	c.sq.Searches += n * c.probeSearches
+	c.simple.Waits += n * c.probeWaits
 }
 
 // clearTail nils dropped slots so recycled entries are not pinned by
@@ -931,7 +943,7 @@ func (c *Core) issueStoreAgen(e *entry, units *int) bool {
 	// searches in the same cycle (loads stop seeing this store as
 	// unresolved immediately); the load-queue violation search and the
 	// agenDone ordering flag still take effect at writeback.
-	c.sq.SetAddr(e.tag, e.addr)
+	c.sq.SetAddr(e.sqHandle, e.tag, e.addr)
 	e.issued = true
 	e.inIQ = false
 	e.doneCycle = c.cycle + int64(c.cfg.IntLat)
@@ -947,7 +959,6 @@ func (c *Core) issueLoad(e *entry, b *fuBudget) (bool, bool) {
 	if !ok {
 		return false, false
 	}
-	c.issueProbe = true // address ready: probes below count lookups
 	addr := e.inst.EffAddr(s1)
 	// Dependence predictor constraints.
 	if e.waitStoreTag >= 0 {
@@ -957,10 +968,10 @@ func (c *Core) issueLoad(e *entry, b *fuBudget) (bool, bool) {
 		e.waitStoreTag = -1
 	}
 	simpleWait := c.ssets == nil && c.simple.ShouldWait(e.pc)
-	if simpleWait && c.sq.UnresolvedBefore(e.tag) {
+	if simpleWait && c.sq.UnresolvedBefore(e.sqColour) {
 		return false, false // simple predictor: wait for all prior agens
 	}
-	r := c.sq.Search(addr, e.tag)
+	r := c.sq.Search(addr, e.sqColour)
 	if r.Match && !r.DataReady {
 		return false, false // forwarding store's data not ready yet
 	}
@@ -1039,19 +1050,18 @@ func (c *Core) issueLoad(e *entry, b *fuBudget) (bool, bool) {
 	}
 
 	if c.eng != nil {
-		if fe := c.eng.Queue.Find(e.tag); fe != nil {
-			fe.Addr = e.addr
-			fe.Value = e.value
-			fe.Issued = true
-			fe.Forwarded = r.Match
-			fe.NUS = e.nus
-			fe.Reordered = e.reordered
-			fe.NoReplay = e.noReplay
-			fe.ValuePredicted = e.valuePredicted
-		}
+		fe := c.eng.Queue.Find(e.lqHandle, e.tag)
+		fe.Addr = e.addr
+		fe.Value = e.value
+		fe.Issued = true
+		fe.Forwarded = r.Match
+		fe.NUS = e.nus
+		fe.Reordered = e.reordered
+		fe.NoReplay = e.noReplay
+		fe.ValuePredicted = e.valuePredicted
 		return true, false
 	}
-	if sqz, found := c.alq.OnIssue(e.tag, e.addr, e.forwardTag); found {
+	if sqz, found := c.alq.OnIssue(e.lqHandle, e.tag, e.addr, e.forwardTag); found {
 		// Insulated/hybrid load-issue search found a younger issued
 		// load to the same address (Figure 1(c)).
 		c.Stats.SquashesLoadIssue++
@@ -1207,6 +1217,7 @@ func (c *Core) dispatchOne(f *fetched) {
 		e.inIQ = true
 		c.iq = append(c.iq, e)
 		c.loads.add(e.tag)
+		e.sqColour = c.sq.NextHandle()
 		if c.vp != nil && !(c.noReplayArmed && e.pc == c.noReplayPC) {
 			if v, ok := c.vp.Predict(e.pc); ok {
 				// Consumers may use the predicted value immediately;
@@ -1219,7 +1230,7 @@ func (c *Core) dispatchOne(f *fetched) {
 			}
 		}
 		if c.eng != nil {
-			c.eng.Queue.Insert(e.tag, e.pc)
+			e.lqHandle, _ = c.eng.Queue.Insert(e.tag, e.pc)
 			if c.noReplayArmed && e.pc == c.noReplayPC {
 				// Forward-progress rule 3: the refetched instance of a
 				// load that caused a replay squash is not replayed.
@@ -1227,7 +1238,7 @@ func (c *Core) dispatchOne(f *fetched) {
 				c.noReplayArmed = false
 			}
 		} else {
-			c.alq.Insert(e.tag, e.pc)
+			e.lqHandle, _ = c.alq.Insert(e.tag, e.pc)
 			if c.ssets != nil {
 				e.waitStoreTag = c.ssets.LoadDispatched(e.pc)
 			}
@@ -1236,7 +1247,7 @@ func (c *Core) dispatchOne(f *fetched) {
 		e.isStore = true
 		e.inIQ = true
 		c.iq = append(c.iq, e)
-		c.sq.Insert(e.tag, e.pc)
+		e.sqHandle, _ = c.sq.Insert(e.tag, e.pc)
 		c.psd = append(c.psd, e)
 		c.psdQuiet = false
 		if c.ssets != nil {
@@ -1314,13 +1325,16 @@ func (c *Core) squashFrom(fromTag int64, newPC uint64, branchRepair bool) {
 		// Pending injections on killed loads leave the machine with them.
 		c.flt.OnSquash(c.ID, fromTag, c.cycle)
 	}
-	// Find the cut point.
+	// Find the cut point: ROB tags increase from head to tail, so the
+	// first killed entry is a binary search away.
 	robLen := c.rob.Len()
-	cut := robLen
-	for i := 0; i < robLen; i++ {
-		if c.rob.At(i).tag >= fromTag {
-			cut = i
-			break
+	cut, hi := 0, robLen
+	for cut < hi {
+		mid := int(uint(cut+hi) >> 1)
+		if c.rob.At(mid).tag < fromTag {
+			cut = mid + 1
+		} else {
+			hi = mid
 		}
 	}
 	if !branchRepair {
@@ -1442,7 +1456,7 @@ func (c *Core) HandleExternalInvalidation(block uint64) {
 		if c.flt != nil && c.flt.SuppressWindow(c.ID, c.cycle) {
 			return // injected fault: the NRS window never opens
 		}
-		c.eng.NoteExternalEvent(c.youngestLoadTag())
+		c.eng.NoteExternalEvent(c.eng.Queue.YoungestTag())
 	}
 }
 
@@ -1457,17 +1471,8 @@ func (c *Core) HandleExternalFill(block uint64) {
 		if c.flt != nil && c.flt.SuppressWindow(c.ID, c.cycle) {
 			return // injected fault: the NRM window never opens
 		}
-		c.eng.NoteExternalEvent(c.youngestLoadTag())
+		c.eng.NoteExternalEvent(c.eng.Queue.YoungestTag())
 	}
-}
-
-func (c *Core) youngestLoadTag() int64 {
-	for i := c.rob.Len() - 1; i >= 0; i-- {
-		if e := c.rob.At(i); e.isLoad {
-			return e.tag
-		}
-	}
-	return -1
 }
 
 // portCap returns the commit-stage cache port count (1 in the paper).

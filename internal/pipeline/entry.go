@@ -77,6 +77,13 @@ type entry struct {
 	nus             bool // issued past an unresolved store address
 	reordered       bool // issued while prior memory ops incomplete
 
+	// Queue handles (lsq package comment): a load's load-queue handle
+	// and store colour (the store queue's next handle at its dispatch),
+	// a store's store-queue handle.
+	lqHandle int64
+	sqColour int64
+	sqHandle int64
+
 	// Provenance (consistency tracking): the identity of the store
 	// whose value this load observed, sampled with the value.
 	writer       consistency.Writer

@@ -1,8 +1,10 @@
 // Quiescence detection for the system's cycle-skipping fast-forward
 // (DESIGN.md §12). A core is quiescent when stepping it one cycle would
 // change nothing observable except the deterministic per-cycle
-// accounting: the cycle counter, the ROB-occupancy integral, and at
-// most one dispatch stall counter. Quiescent reads that answer from the
+// accounting: the cycle counter, the ROB-occupancy integral, at most
+// one dispatch stall counter, and the sleeping issue stage's probe
+// charge (the store-queue searches and predictor waits of loads that
+// re-probe every cycle). Quiescent reads that answer from the
 // stage-skip readiness state (stageskip.go, DESIGN.md §14) — the same
 // watermark and quiet flags Step consults — plus O(1) dispatch and
 // fetch checks, so it walks no queue; FastForward then replicates the
@@ -111,8 +113,8 @@ func (c *Core) lqFull() bool {
 // caller must have established via Quiescent (with no intervening
 // Step or external event) that every skipped cycle is a no-op apart
 // from the deterministic per-cycle accounting replicated here: the
-// cycle counter, the ROB-occupancy integral, and the dispatch stall
-// counter Quiescent recorded.
+// cycle counter, the ROB-occupancy integral, the dispatch stall
+// counter Quiescent recorded, and the issue stage's probe charge.
 //
 //vbr:hotpath
 func (c *Core) FastForward(n int64) {
@@ -120,6 +122,7 @@ func (c *Core) FastForward(n int64) {
 	c.Stats.Cycles += n
 	c.Stats.ROBOccupancySum += uint64(n) * uint64(c.rob.Len())
 	k := uint64(n)
+	c.chargeProbes(k)
 	switch c.ffStall {
 	case stallBarrier:
 		c.Stats.StallBarrier += k

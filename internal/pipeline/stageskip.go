@@ -11,11 +11,13 @@
 // proves idle, and the quiescence fast-forward (quiesce.go) composes
 // the same state into its whole-core predicate. The contract is the
 // same for both: a skipped scan is precisely a scan that would have
-// mutated nothing and counted nothing, so a run with skipping on is
-// bit-identical — counters, stats, trace events, committed values — to
-// one with it off. The -no-stageskip escape hatch stops Step from
-// reading the state (the fast-forward still reads it); it exists for
-// A/B equivalence tests and measurement, not for correctness.
+// mutated nothing and counted nothing, except the issue scan's
+// re-probes by waiting loads, whose counts the skip adds itself as the
+// probe charge. A run with skipping on is therefore bit-identical —
+// counters, stats, trace events, committed values — to one with it
+// off. The -no-stageskip escape hatch stops Step from reading the
+// state (the fast-forward still reads it); it exists for A/B
+// equivalence tests and measurement, not for correctness.
 
 package pipeline
 
@@ -35,7 +37,7 @@ type SkipStats struct {
 	Capture   uint64 // store-data list empty or provably blocked
 	Commit    uint64 // ROB head provably unable to commit
 	Replay    uint64 // replay scan flagged quiet before its wake cycle
-	Issue     uint64 // no issue-queue entry could issue or probe
+	Issue     uint64 // no issue-queue entry could issue (re-probes charged)
 }
 
 // Add accumulates o into s (the system sums per-core skip stats).

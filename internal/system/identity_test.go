@@ -143,6 +143,15 @@ func assertIdentical(t *testing.T, l layers, got, ref abRun) {
 	if !reflect.DeepEqual(got.s.Metrics, ref.s.Metrics) {
 		t.Errorf("%v: metrics snapshots diverged", l)
 	}
+	// The simple dependence predictor's wait count is part of the issue
+	// stage's probe charge but not of Result; compare it per core.
+	for i, c := range got.s.Cores {
+		g, r := c.SimplePredictor(), ref.s.Cores[i].SimplePredictor()
+		if g.Waits != r.Waits || g.Trainings != r.Trainings {
+			t.Errorf("%v: core %d simple predictor diverged: waits %d trainings %d, reference %d %d",
+				l, i, g.Waits, g.Trainings, r.Waits, r.Trainings)
+		}
+	}
 }
 
 // runIdentity runs every case under every combination and checks each
@@ -158,12 +167,15 @@ func runIdentity(t *testing.T, cases []identityCase, seed uint64) {
 	}
 }
 
-// The registry and multiprocessor tables run twice each, with
-// different shapes so neither repeats the other: the registry on spin
-// (the fast-forward's stall-bound regime) and on mcf (a mix of loads,
-// stores and branches that exercises every stage, the replay cursor
-// included), the multiprocessor table under two seeds (data
-// placement, registers and image background differ).
+// The registry table runs three times and the multiprocessor table
+// twice, with different shapes so none repeats another: the registry
+// on spin (the fast-forward's stall-bound regime), on mcf (a mix of
+// loads, stores and branches that exercises every stage, the replay
+// cursor included) and on parser (forwarding-heavy: loads that wait on
+// a forwarding store's data re-probe the store queue every cycle, so
+// the issue stage sleeps with a probe charge), the multiprocessor
+// table under two seeds (data placement, registers and image
+// background differ).
 
 func TestFastForwardBitIdenticalRegistry(t *testing.T) {
 	runIdentity(t, registryCases("spin", 3000), 42)
@@ -171,6 +183,10 @@ func TestFastForwardBitIdenticalRegistry(t *testing.T) {
 
 func TestStageSkipBitIdenticalRegistry(t *testing.T) {
 	runIdentity(t, registryCases("mcf", 4000), 42)
+}
+
+func TestProbeChargeBitIdenticalRegistry(t *testing.T) {
+	runIdentity(t, registryCases("parser", 8000), 42)
 }
 
 func TestFastForwardBitIdenticalMulti(t *testing.T) {
