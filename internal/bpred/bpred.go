@@ -4,7 +4,10 @@
 // selector, an 8k-entry 4-way BTB, and a 64-entry return address stack.
 package bpred
 
-import "vbmo/internal/isa"
+import (
+	"vbmo/internal/isa"
+	"vbmo/internal/setstore"
+)
 
 // Config sizes the predictor structures. All table sizes must be powers
 // of two.
@@ -29,6 +32,13 @@ func DefaultConfig() Config {
 	}
 }
 
+// btbWay is one BTB way. tag is pc|1, so a zero (never-written) way
+// never matches.
+type btbWay struct {
+	tag, target uint64
+	lru         uint8 // 0 = most recently used, saturating at 255
+}
+
 // Meta carries per-prediction state from Predict to Update so the
 // predictor can train its component tables and repair global history
 // after a misprediction.
@@ -49,10 +59,11 @@ type Predictor struct {
 	history  uint64  // speculative global history, newest outcome in bit 0
 	histBits uint
 
-	btbTags    []uint64
-	btbTargets []uint64
-	btbLRU     []uint8
-	btbSets    int
+	// btb holds the BTB's sets, materialized on their first
+	// UpdateTarget (package setstore); a never-installed set reads as
+	// no ways, so PredictTarget misses and ages nothing.
+	btb     setstore.Store[btbWay]
+	btbSets int
 
 	ras    []uint64
 	rasTop int
@@ -79,6 +90,7 @@ func New(cfg Config) *Predictor {
 		gshare:   make([]uint8, cfg.GshareEntries),
 		selector: make([]uint8, cfg.SelectorEntries),
 		histBits: log2(cfg.GshareEntries),
+		btb:      setstore.New[btbWay](cfg.BTBEntries/cfg.BTBWays, cfg.BTBWays),
 		btbSets:  cfg.BTBEntries / cfg.BTBWays,
 		ras:      make([]uint64, cfg.RASEntries),
 	}
@@ -93,9 +105,6 @@ func New(cfg Config) *Predictor {
 	for i := range p.selector {
 		p.selector[i] = 1 // weakly prefer bimodal
 	}
-	p.btbTags = make([]uint64, cfg.BTBEntries)
-	p.btbTargets = make([]uint64, cfg.BTBEntries)
-	p.btbLRU = make([]uint8, cfg.BTBEntries)
 	return p
 }
 
@@ -175,17 +184,11 @@ func (p *Predictor) Update(pc uint64, taken bool, m Meta) {
 
 // PredictTarget looks up the BTB for the branch at pc.
 func (p *Predictor) PredictTarget(pc uint64) (uint64, bool) {
-	set := pcIndex(pc, p.btbSets)
-	base := set * p.cfg.BTBWays
-	for w := 0; w < p.cfg.BTBWays; w++ {
-		if p.btbTags[base+w] == pc|1 {
-			p.btbLRU[base+w] = 0
-			for o := 0; o < p.cfg.BTBWays; o++ {
-				if o != w && p.btbLRU[base+o] < 255 {
-					p.btbLRU[base+o]++
-				}
-			}
-			return p.btbTargets[base+w], true
+	set := p.btb.Get(uint64(pcIndex(pc, p.btbSets)))
+	for w := range set {
+		if set[w].tag == pc|1 {
+			touchLRU(set, w)
+			return set[w].target, true
 		}
 	}
 	return 0, false
@@ -193,24 +196,28 @@ func (p *Predictor) PredictTarget(pc uint64) (uint64, bool) {
 
 // UpdateTarget installs or refreshes the BTB entry for pc.
 func (p *Predictor) UpdateTarget(pc, target uint64) {
-	set := pcIndex(pc, p.btbSets)
-	base := set * p.cfg.BTBWays
+	set := p.btb.Touch(uint64(pcIndex(pc, p.btbSets)))
 	victim := 0
-	for w := 0; w < p.cfg.BTBWays; w++ {
-		if p.btbTags[base+w] == pc|1 {
+	for w := range set {
+		if set[w].tag == pc|1 {
 			victim = w
 			break
 		}
-		if p.btbLRU[base+w] > p.btbLRU[base+victim] {
+		if set[w].lru > set[victim].lru {
 			victim = w
 		}
 	}
-	p.btbTags[base+victim] = pc | 1
-	p.btbTargets[base+victim] = target
-	p.btbLRU[base+victim] = 0
-	for o := 0; o < p.cfg.BTBWays; o++ {
-		if o != victim && p.btbLRU[base+o] < 255 {
-			p.btbLRU[base+o]++
+	set[victim].tag = pc | 1
+	set[victim].target = target
+	touchLRU(set, victim)
+}
+
+// touchLRU makes way w the set's most recently used and ages the rest.
+func touchLRU(set []btbWay, w int) {
+	set[w].lru = 0
+	for o := range set {
+		if o != w && set[o].lru < 255 {
+			set[o].lru++
 		}
 	}
 }

@@ -6,6 +6,8 @@
 // events*, which is all the memory-ordering mechanisms consume.
 package cache
 
+import "vbmo/internal/setstore"
+
 // BlockSize is the cache block size in bytes (Table 3: 64-byte lines).
 const BlockSize = 64
 
@@ -22,39 +24,48 @@ type Config struct {
 	Latency int
 }
 
+// line is one way of a set. Its tag is the block address with bit 0,
+// always clear in a block-aligned address, set while the line is
+// valid, so the zero line is invalid. The tag is stored as two 32-bit
+// halves so that a line packs into 12 bytes rather than 16.
 type line struct {
-	tag   uint64
-	valid bool
-	age   uint32 // lower is more recently used
+	tagLo, tagHi uint32
+	age          uint32 // lower is more recently used
 }
+
+func newLine(block uint64, age uint32) line {
+	return line{tagLo: uint32(block | 1), tagHi: uint32(block >> 32), age: age}
+}
+
+func (l *line) tag() uint64 { return uint64(l.tagLo) | uint64(l.tagHi)<<32 }
+
+func (l *line) valid() bool { return l.tagLo&1 != 0 }
 
 // Array is a set-associative tag array with true-LRU replacement. It
 // tracks presence only; block data lives in the memory image.
 type Array struct {
 	cfg     Config
-	sets    [][]line
+	sets    setstore.Store[line]
 	setMask uint64
 	tick    uint32
-	// arena is the tail of the current line-storage chunk; newSet carves
-	// lazily-materialized sets out of it (see NewArray).
-	arena []line
 	// Accesses, Hits count Lookup calls and their hits.
 	Accesses, Hits uint64
 }
 
 // NewArray builds a tag array. Size/BlockSize/Ways must divide evenly;
-// the set count must be a power of two. Per-set line storage is
-// allocated lazily on first Insert: a large lightly-used array (an 8 MB
-// L3 per core) costs memory proportional to its touched footprint, and
+// the set count must be a power of two. Construction allocates only a
+// 4-byte-per-set index: a set's lines materialize on its first Insert
+// (package setstore), so a large lightly-used array (an 8 MB L3 per
+// core) costs memory in proportion to its touched footprint, and
 // construction-heavy paths (one fresh hierarchy per experiment cell)
-// stop paying for sets the run never references. A nil set behaves
-// exactly like a set of invalid lines.
+// stop paying for sets the run never references. A never-filled set
+// reads as no lines, so probes of it miss without scanning.
 func NewArray(cfg Config) *Array {
 	nsets := cfg.Size / BlockSize / cfg.Ways
 	if nsets <= 0 || nsets&(nsets-1) != 0 {
 		panic("cache: set count must be a positive power of two")
 	}
-	return &Array{cfg: cfg, setMask: uint64(nsets - 1), sets: make([][]line, nsets)}
+	return &Array{cfg: cfg, setMask: uint64(nsets - 1), sets: setstore.New[line](nsets, cfg.Ways)}
 }
 
 // Config returns the array's configuration.
@@ -64,38 +75,13 @@ func (a *Array) setIndex(addr uint64) uint64 {
 	return (addr / BlockSize) & a.setMask
 }
 
-// arenaSets is how many sets each storage chunk holds. Chunking keeps
-// first-touch materialization amortized (one allocation per arenaSets
-// sets) so a workload that keeps expanding its footprint does not pay
-// one heap allocation per newly-touched set in steady state.
-const arenaSets = 256
-
-// newSet materializes storage for one set.
-func (a *Array) newSet() []line {
-	w := a.cfg.Ways
-	if len(a.arena) < w {
-		chunk := arenaSets
-		if n := int(a.setMask) + 1; n < chunk {
-			chunk = n
-		}
-		a.arena = make([]line, chunk*w)
-	}
-	s := a.arena[:w:w]
-	a.arena = a.arena[w:]
-	return s
-}
-
-func (a *Array) set(addr uint64) []line {
-	return a.sets[a.setIndex(addr)]
-}
-
 // Lookup probes for addr's block, updating LRU and hit statistics.
 func (a *Array) Lookup(addr uint64) bool {
 	a.Accesses++
 	tag := BlockAddr(addr)
-	set := a.set(addr)
+	set := a.sets.Get(a.setIndex(addr))
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+		if set[i].tag() == tag|1 {
 			a.tick++
 			set[i].age = a.tick
 			a.Hits++
@@ -108,8 +94,9 @@ func (a *Array) Lookup(addr uint64) bool {
 // Contains probes for addr's block without disturbing LRU or statistics.
 func (a *Array) Contains(addr uint64) bool {
 	tag := BlockAddr(addr)
-	for _, l := range a.set(addr) {
-		if l.valid && l.tag == tag {
+	set := a.sets.Get(a.setIndex(addr))
+	for i := range set {
+		if set[i].tag() == tag|1 {
 			return true
 		}
 	}
@@ -120,39 +107,34 @@ func (a *Array) Contains(addr uint64) bool {
 // valid victim was displaced.
 func (a *Array) Insert(addr uint64) (victim uint64, evicted bool) {
 	tag := BlockAddr(addr)
-	si := a.setIndex(addr)
-	set := a.sets[si]
-	if set == nil {
-		set = a.newSet()
-		a.sets[si] = set
-	}
+	set := a.sets.Touch(a.setIndex(addr))
 	a.tick++
 	vi := 0
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+		if set[i].tag() == tag|1 {
 			set[i].age = a.tick // already present: refresh
 			return 0, false
 		}
-		if !set[i].valid {
+		if !set[i].valid() {
 			vi = i
-		} else if set[vi].valid && set[i].age < set[vi].age {
+		} else if set[vi].valid() && set[i].age < set[vi].age {
 			vi = i
 		}
 	}
-	if set[vi].valid {
-		victim, evicted = set[vi].tag, true
+	if set[vi].valid() {
+		victim, evicted = set[vi].tag()&^1, true
 	}
-	set[vi] = line{tag: tag, valid: true, age: a.tick}
+	set[vi] = newLine(tag, a.tick)
 	return victim, evicted
 }
 
 // Invalidate removes addr's block, reporting whether it was present.
 func (a *Array) Invalidate(addr uint64) bool {
 	tag := BlockAddr(addr)
-	set := a.set(addr)
+	set := a.sets.Get(a.setIndex(addr))
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].valid = false
+		if set[i].tag() == tag|1 {
+			set[i].tagLo &^= 1 // clear the valid bit
 			return true
 		}
 	}

@@ -13,6 +13,7 @@ package farm
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"net"
@@ -434,10 +435,36 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxBodyBytes bounds every JSON request body (job specs and the
+// lease, heartbeat and completion messages). The largest legitimate
+// body, a completion carrying one cell's result, is a few kilobytes.
+const maxBodyBytes = 4 << 20
+
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so slow clients cannot hold connections open.
+const readHeaderTimeout = 10 * time.Second
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes.
+// On failure it answers the request itself (413 for an oversize body,
+// 400 with what prefixed to the decode error otherwise) and reports
+// false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, what string) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+		http.Error(w, fmt.Sprintf("farm: request body over %d bytes", tooBig.Limit),
+			http.StatusRequestEntityTooLarge)
+		return false
+	}
+	http.Error(w, what+err.Error(), http.StatusBadRequest)
+	return false
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		http.Error(w, "farm: bad job spec: "+err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &spec, "farm: bad job spec: ") {
 		return
 	}
 	j, err := s.enqueue(spec, r.URL.Query().Get("fresh") == "1")
@@ -535,7 +562,7 @@ func (s *Server) Start(addr string) (net.Addr, error) {
 		return nil, err
 	}
 	s.ln = ln
-	s.http = &http.Server{Handler: s.Handler()}
+	s.http = &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	go func() {
 		// Serve returns on Stop's Close; nothing to report then.
 		_ = s.http.Serve(ln)

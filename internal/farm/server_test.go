@@ -1,6 +1,9 @@
 package farm
 
 import (
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -191,5 +194,32 @@ func TestServerCrashRestartRecovery(t *testing.T) {
 	if st2.Executed+st2.Cached != total {
 		t.Fatalf("executed %d + cached %d != total %d",
 			st2.Executed, st2.Cached, total)
+	}
+}
+
+// TestServerRejectsOversizeBodies: every JSON-decoding route reads at
+// most maxBodyBytes and answers a larger body with 413, while a small
+// malformed body stays a 400.
+func TestServerRejectsOversizeBodies(t *testing.T) {
+	srv, err := NewServer(t.TempDir(), 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Stop()
+	h := srv.Handler()
+	// A syntactically open JSON string: the decoder keeps reading until
+	// the limit cuts it off.
+	big := `{"worker":"` + strings.Repeat("x", maxBodyBytes) + `"}`
+	for _, path := range []string{"/v1/jobs", "/v1/cells/lease", "/v1/cells/heartbeat", "/v1/cells/complete"} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(big)))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: oversize body got %d, want 413", path, rec.Code)
+		}
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader("{")))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: malformed body got %d, want 400", path, rec.Code)
+		}
 	}
 }

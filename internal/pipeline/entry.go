@@ -152,31 +152,53 @@ func (e *entry) srcReady(n int) (uint64, bool) {
 }
 
 // pool is a generation-tagged freelist of entries. At most ROBSize
-// entries are ever live (every entry is in the ROB), so the pool is
-// pre-filled from one contiguous slab at core construction and the
-// cycle loop never allocates entry storage. Recycling bumps the
-// entry's generation (see entry.gen); everything else is zeroed.
-type pool struct{ free []*entry }
+// entries are ever live (every entry is in the ROB), so the pool carves
+// at most ROBSize entries in total, in poolChunk-entry slabs as the
+// freelist runs dry: a core whose window never fills never pays for the
+// rest of the ROB, and once the high-water mark is reached the cycle
+// loop never allocates entry storage. Recycling bumps the entry's
+// generation (see entry.gen); everything else is zeroed.
+type pool struct {
+	free []*entry
+	left int // entries not yet carved
+}
 
-// init pre-fills the freelist with n slab-backed entries.
+// poolChunk is how many entries one slab carve adds to the freelist.
+const poolChunk = 32
+
+// init sizes the freelist for n entries, none carved yet.
 func (p *pool) init(n int) {
-	slab := make([]entry, n)
-	p.free = make([]*entry, n)
-	for i := range slab {
-		p.free[i] = &slab[i]
-	}
+	p.free = make([]*entry, 0, n)
+	p.left = n
 }
 
 func (p *pool) get() *entry {
-	if n := len(p.free); n > 0 {
-		e := p.free[n-1]
-		p.free = p.free[:n-1]
-		gen := e.gen
-		*e = entry{}
-		e.gen = gen + 1
-		return e
+	if len(p.free) == 0 {
+		p.refill()
 	}
-	return &entry{gen: 1}
+	n := len(p.free)
+	e := p.free[n-1]
+	p.free = p.free[:n-1]
+	gen := e.gen
+	*e = entry{}
+	e.gen = gen + 1
+	return e
+}
+
+// refill puts the next slab of entries on the empty freelist. Once all
+// ROBSize entries are carved it adds a single heap entry instead: a
+// core, whose live entries all sit in its ROB, never gets there.
+func (p *pool) refill() {
+	n := min(poolChunk, p.left)
+	if n == 0 {
+		p.free = append(p.free, new(entry))
+		return
+	}
+	p.left -= n
+	slab := make([]entry, n)
+	for i := range slab {
+		p.free = append(p.free, &slab[i])
+	}
 }
 
 func (p *pool) put(e *entry) { p.free = append(p.free, e) }

@@ -378,25 +378,44 @@ func generateOnce(p Params, seed uint64, pp probs) *prog.Program {
 }
 
 // measureMix functionally executes n instructions of pr and returns the
-// realized load/store/branch dynamic fractions.
+// realized load/store/branch dynamic fractions. The loop executes
+// prog.Executor.Step's semantics but only counts classes instead of
+// building a prog.Committed record per step; TestGenerateDigest pins
+// the programs calibration produces.
 func measureMix(p Params, pr *prog.Program, seed uint64, n int) probs {
-	ex := prog.NewExecutor(pr, prog.NewImage(seed), InitState(p, 0, seed))
-	var m probs
-	for i := 0; i < n; i++ {
-		c := ex.Step()
-		switch c.Op.Class() {
-		case isa.ClassLoad:
-			m.load++
-		case isa.ClassStore:
-			m.store++
-		case isa.ClassBranch:
-			m.branch++
-		}
+	mem := prog.NewImage(seed)
+	st := InitState(p, 0, seed)
+	pc := st.PC
+	if pc == 0 {
+		pc = pr.Entry
 	}
-	m.load /= float64(n)
-	m.store /= float64(n)
-	m.branch /= float64(n)
-	return m
+	var loads, stores, branches int
+	for i := 0; i < n; i++ {
+		in, _ := pr.Fetch(pc)
+		src1 := st.ReadReg(in.Src1)
+		taken := false
+		switch in.Class() {
+		case isa.ClassLoad:
+			loads++
+			st.WriteReg(in.Dst, mem.Read(in.EffAddr(src1)))
+		case isa.ClassStore:
+			stores++
+			mem.Write(in.EffAddr(src1), st.ReadReg(in.Src2))
+		case isa.ClassBranch:
+			branches++
+			taken = in.BranchTaken(src1)
+		case isa.ClassNop, isa.ClassMembar:
+			// No architectural effect.
+		default:
+			st.WriteReg(in.Dst, in.Eval(src1, st.ReadReg(in.Src2)))
+		}
+		pc = pr.NextPC(in, pc, taken)
+	}
+	return probs{
+		load:   float64(loads) / float64(n),
+		store:  float64(stores) / float64(n),
+		branch: float64(branches) / float64(n),
+	}
 }
 
 // genKey identifies one calibrated program: Params is a comparable
