@@ -20,7 +20,7 @@ import (
 
 func main() {
 	var (
-		which       = flag.String("experiment", "all", "all | tables | fig5 | fig6 | fig7 | fig8 | squash | power | relatedwork | snapshots | litmus | faults | bench")
+		which       = flag.String("experiment", "all", "all | tables | fig5 | fig6 | fig7 | fig8 | squash | power | relatedwork | snapshots | litmus | faults")
 		quick       = flag.Bool("quick", false, "reduced instruction budgets and core counts")
 		cores       = flag.Int("cores", 0, "override MP core count")
 		uniInstr    = flag.Uint64("uni", 0, "override uniprocessor instructions")
@@ -33,7 +33,6 @@ func main() {
 		retries     = flag.Int("retries", 0, "re-attempts for a failed matrix cell")
 		cellTimeout = flag.Duration("cell-timeout", 0, "per-cell wall-clock deadline for the §5.1 matrix (0 = none; nondeterministic)")
 
-		benchOut   = flag.String("bench-out", "BENCH_3.json", "bench experiment: write the JSON report here (empty = skip)")
 		snapDir    = flag.String("snapshot-dir", "", "directory for snapshots experiment JSONL output (empty = print only)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -170,19 +169,6 @@ func main() {
 		}
 	case "faults":
 		if sum := experiments.FaultMatrix(w, cfg); !sum.OK() {
-			failed = true
-		}
-	case "bench":
-		rep := experiments.Bench(w, cfg)
-		if *benchOut != "" {
-			if err := experiments.WriteBenchReport(*benchOut, rep); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(exitcode.Err)
-			}
-			fmt.Fprintf(w, "wrote %s\n", *benchOut)
-		}
-		if !rep.AllPass {
-			fmt.Fprintln(os.Stderr, "bench: regression gate failure (see gates above)")
 			failed = true
 		}
 	default:

@@ -64,18 +64,7 @@ func (s JobSpec) Cells() ([]Cell, error) {
 	}
 	var cells []Cell
 	if l := s.Litmus; l != nil {
-		tests := l.Tests
-		if len(tests) == 0 {
-			for _, t := range litmus.Battery() {
-				tests = append(tests, t.Name)
-			}
-		}
-		cfgs := l.Configs
-		if len(cfgs) == 0 {
-			for _, c := range litmus.Configs() {
-				cfgs = append(cfgs, c.Name)
-			}
-		}
+		tests, cfgs := l.names()
 		for ti, test := range tests {
 			for ci, cfg := range cfgs {
 				cells = append(cells, Cell{
@@ -88,15 +77,8 @@ func (s JobSpec) Cells() ([]Cell, error) {
 		}
 	}
 	if m := s.Matrix; m != nil {
-		machines := m.Machines
-		if len(machines) == 0 {
-			machines = experiments.MachineNames
-		}
-		samples := m.Samples
-		if samples <= 0 {
-			samples = 1
-		}
-		for _, mc := range machines {
+		samples := m.samples()
+		for _, mc := range m.machines() {
 			for _, w := range matrixWorkloads(m.Workloads) {
 				if w.Multi {
 					for sm := 0; sm < samples; sm++ {
@@ -129,6 +111,83 @@ func (s JobSpec) Cells() ([]Cell, error) {
 		return nil, fmt.Errorf("farm: job expands to zero cells")
 	}
 	return cells, nil
+}
+
+// maxJobCells bounds how many cells one job may expand to. Expansion
+// builds every cell, and the server a key and a result slot for each,
+// before anything runs, so without a bound a spec of a few bytes naming
+// a huge sample count exhausts memory.
+const maxJobCells = 1 << 14
+
+// cellCount returns how many cells Cells expands the spec to, or any
+// number above maxJobCells when that is more: each product saturates,
+// so no count of names or samples overflows it.
+func (s JobSpec) cellCount() int {
+	n := 0
+	if l := s.Litmus; l != nil {
+		tests, cfgs := l.names()
+		n += cellProduct(len(tests), len(cfgs))
+	}
+	if m := s.Matrix; m != nil {
+		uni, multi := 0, 0
+		for _, w := range matrixWorkloads(m.Workloads) {
+			if w.Multi {
+				multi++
+			} else {
+				uni++
+			}
+		}
+		machines := len(m.machines())
+		n += cellProduct(machines, uni) + cellProduct(machines, multi, m.samples())
+	}
+	if b := s.Bench; b != nil {
+		n += cellProduct(len(b.Machines), len(b.Workloads))
+	}
+	return n
+}
+
+// cellProduct multiplies non-negative factors, stopping at
+// maxJobCells+1.
+func cellProduct(factors ...int) int {
+	p := 1
+	for _, f := range factors {
+		if f > 0 && p > maxJobCells/f {
+			return maxJobCells + 1
+		}
+		p *= f
+	}
+	return p
+}
+
+// names returns the tests and configurations the sweep covers: the
+// full battery and configuration list, in order, where none are named.
+func (l *LitmusSpec) names() (tests, cfgs []string) {
+	tests, cfgs = l.Tests, l.Configs
+	if len(tests) == 0 {
+		for _, t := range litmus.Battery() {
+			tests = append(tests, t.Name)
+		}
+	}
+	if len(cfgs) == 0 {
+		for _, c := range litmus.Configs() {
+			cfgs = append(cfgs, c.Name)
+		}
+	}
+	return tests, cfgs
+}
+
+// machines returns the machines the matrix covers: the five §5.1
+// configurations where none are named.
+func (m *MatrixSpec) machines() []string {
+	if len(m.Machines) == 0 {
+		return experiments.MachineNames
+	}
+	return m.Machines
+}
+
+// samples returns the multiprocessor samples per cell, at least one.
+func (m *MatrixSpec) samples() int {
+	return max(m.Samples, 1)
 }
 
 // matrixWorkloads mirrors experiments.Config.workloadSet: catalog order,

@@ -200,3 +200,22 @@ func TestValidateRejects(t *testing.T) {
 		t.Fatalf("good spec rejected: %v", err)
 	}
 }
+
+// TestValidateBoundsCellCount: a short spec whose expansion would be
+// huge is rejected before any cell is built, and the bound is exact.
+func TestValidateBoundsCellCount(t *testing.T) {
+	huge := JobSpec{Matrix: &MatrixSpec{Workloads: []string{"ocean"}, MPInstr: 1, Samples: 1 << 62}}
+	if err := huge.Validate(); err == nil {
+		t.Fatal("Validate accepted a matrix of 2^62 samples")
+	}
+	// One machine, one multiprocessor workload: exactly Samples cells.
+	at := JobSpec{Matrix: &MatrixSpec{Machines: []string{"baseline"}, Workloads: []string{"ocean"},
+		MPInstr: 1, Samples: maxJobCells}}
+	if err := at.Validate(); err != nil {
+		t.Fatalf("Validate rejected a job of exactly %d cells: %v", maxJobCells, err)
+	}
+	at.Matrix.Samples++
+	if err := at.Validate(); err == nil {
+		t.Fatalf("Validate accepted a job of %d cells", maxJobCells+1)
+	}
+}

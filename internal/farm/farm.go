@@ -98,7 +98,8 @@ type BenchSpec struct {
 
 // Validate resolves every name in the spec against the registries,
 // returning the first unknown so submission fails fast with a clear
-// message instead of a worker panic.
+// message instead of a worker panic, and rejects a job that would
+// expand to more than maxJobCells cells.
 func (s JobSpec) Validate() error {
 	if s.Litmus == nil && s.Matrix == nil && s.Bench == nil {
 		return fmt.Errorf("farm: empty job (no litmus, matrix, or bench section)")
@@ -159,6 +160,9 @@ func (s JobSpec) Validate() error {
 		if b.Cores <= 0 || b.Cores > config.MaxCores {
 			return fmt.Errorf("farm: bench.cores must be between 1 and %d", config.MaxCores)
 		}
+	}
+	if s.cellCount() > maxJobCells {
+		return fmt.Errorf("farm: job expands to more than %d cells", maxJobCells)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package system
 
 import (
+	"runtime"
 	"testing"
 
 	"vbmo/internal/config"
@@ -35,6 +36,33 @@ func steadyAllocsPerInstr(t *testing.T, machine string, window uint64) float64 {
 	return allocs / float64(window)
 }
 
+// windowAllocs warms the named machine on the named workload, resets
+// its statistics, and returns heap allocations and bytes per committed
+// instruction over the next window, read from the allocator's counters
+// on both sides of it.
+func windowAllocs(t *testing.T, machine, work string, warm, window uint64) (allocs, bytes float64) {
+	t.Helper()
+	mc, ok := config.ByName(machine)
+	if !ok {
+		t.Fatalf("unknown machine %q", machine)
+	}
+	w, ok := workload.ByName(work)
+	if !ok {
+		t.Fatalf("unknown workload %q", work)
+	}
+	opt := Options{Cores: 1, Seed: 1, DMAInterval: 4000, DMABurst: 2}
+	s := New(mc, w, opt)
+	s.Advance(warm, opt)
+	s.ResetStats()
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	s.Advance(window, opt)
+	runtime.ReadMemStats(&m1)
+	committed := float64(s.Cores[0].Stats.Committed)
+	return float64(m1.Mallocs-m0.Mallocs) / committed, float64(m1.TotalAlloc-m0.TotalAlloc) / committed
+}
+
 // TestSteadyStateAllocs guards the tentpole claim of this layer: once
 // warmed, the cycle loop — ring-buffered ROB/fetch queue, slab-pooled
 // entries, preallocated side lists — commits instructions without
@@ -53,5 +81,16 @@ func TestSteadyStateAllocs(t *testing.T) {
 			t.Errorf("%s: steady-state allocations regressed: %.5f allocs/instr (want <= 0.005)",
 				machine, got)
 		}
+	}
+	// The spin workload once allocated 0.037 times and 186 bytes per
+	// instruction: every first write to a fresh image page materialized
+	// the whole page (DESIGN.md §14). The bytes ceiling is looser than
+	// the long-run figure because a short window amortizes the sparse
+	// overlay's map growth poorly.
+	allocs, bytes := windowAllocs(t, "baseline", "spin", 2000, 20000)
+	t.Logf("spin: %.5f allocs and %.1f bytes/committed instr", allocs, bytes)
+	if allocs > 0.005 || bytes > 80 {
+		t.Errorf("spin: allocations regressed: %.5f allocs and %.1f bytes/instr (want <= 0.005 and <= 80)",
+			allocs, bytes)
 	}
 }

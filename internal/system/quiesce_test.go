@@ -124,9 +124,9 @@ func TestFastForwardNeverCrossesFaultDelivery(t *testing.T) {
 }
 
 // benchSpin measures simulated instructions per wall-second on the
-// latency-bound spin workload with or without fast-forward; the BENCH_3
-// gate (≥1.8× with skipping — the non-fast-forward baseline got faster
-// in BENCH_3, shrinking the ratio) mirrors this pair.
+// latency-bound spin workload with or without fast-forward. The pair
+// is for profiling by hand; the gate on the same shape counts work
+// instead (TestWorkPerInstr's spin cell).
 func benchSpin(b *testing.B, noFF bool) {
 	cfg, _ := config.ByName("baseline")
 	work, _ := workload.ByName("spin")

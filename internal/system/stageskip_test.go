@@ -17,16 +17,16 @@ import (
 
 // TestStageSkipEngagesOnGzip asserts the readiness layer actually
 // elides scans on the busy high-IPC workload it was built for — a
-// guard against the quiet flags silently degrading into "never set".
+// guard against the quiet flags silently degrading into "never set" —
+// and that no stage claims to skip (nearly) every cycle of a run that
+// commits instructions. Each skip fraction of core-cycles must lie in
+// (1%, 99.9%).
 func TestStageSkipEngagesOnGzip(t *testing.T) {
 	tc := identityCase{"gzip", "baseline", "gzip", 1, 20000, 0, 1}
 	on := runLayers(t, tc, 42, layers{})
 	assertIdentical(t, layers{}, on, runLayers(t, tc, 42, reference))
 	sk := on.s.StageSkipStats()
-	if sk.Total() == 0 {
-		t.Fatalf("stage skip never engaged on gzip: %+v", sk)
-	}
-	cc := uint64(on.s.CycleNum)
+	cc := float64(on.res.Pipe.Cycles)
 	for _, st := range []struct {
 		name string
 		n    uint64
@@ -36,11 +36,10 @@ func TestStageSkipEngagesOnGzip(t *testing.T) {
 		{"commit", sk.Commit},
 		{"issue", sk.Issue},
 	} {
-		if st.n == 0 {
-			t.Errorf("stage %s never skipped on gzip", st.name)
-		}
-		if st.n >= cc {
-			t.Errorf("stage %s skip count %d exceeds cycles %d", st.name, st.n, cc)
+		frac := float64(st.n) / cc
+		t.Logf("%s skipped %.1f%% of %d core-cycles", st.name, 100*frac, on.res.Pipe.Cycles)
+		if frac <= 0.01 || frac >= 0.999 {
+			t.Errorf("stage %s skipped %.2f%% of core-cycles on gzip, want within (1%%, 99.9%%)", st.name, 100*frac)
 		}
 	}
 }
