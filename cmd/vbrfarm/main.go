@@ -1,8 +1,9 @@
 // Command vbrfarm runs and talks to the simulation-farm service: a
 // long-lived server that accepts sweep jobs (litmus batteries, §5.1
-// matrix cells, simulator-speed bench cells) over HTTP, shards them
-// across a work-stealing worker pool, and dedupes execution through a
-// content-addressed result cache that survives crashes and restarts.
+// matrix cells, simulator-speed bench cells) over HTTP, queues the
+// cells for its in-process executors and any vbrworker processes, and
+// dedupes execution through a content-addressed result cache that
+// survives crashes and restarts.
 //
 //	vbrfarm serve -dir farm.state -addr 127.0.0.1:8373
 //	vbrfarm submit -addr http://127.0.0.1:8373 -spec job.json -wait
@@ -57,7 +58,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  vbrfarm serve   -dir DIR [-addr HOST:PORT] [-shards N] [-trace FILE]
+  vbrfarm serve   -dir DIR [-addr HOST:PORT] [-executors N] [-trace FILE]
   vbrfarm submit  -addr URL (-spec FILE | -spec -) [-fresh] [-wait] [-timeout D]
   vbrfarm status  -addr URL -id JOBID [-wait] [-timeout D]
   vbrfarm results -addr URL -id JOBID [-o FILE]
@@ -75,8 +76,8 @@ func serve(args []string) {
 	var (
 		dir       = fs.String("dir", "farm.state", "state directory (result cache + jobs journal)")
 		addr      = fs.String("addr", "127.0.0.1:8373", "listen address")
-		shards    = fs.Int("shards", runtime.GOMAXPROCS(0), "local worker pool shard count")
-		local     = fs.Bool("local", true, "execute cells on the local pool too (false = pure coordinator; cells wait for vbrworker processes)")
+		executors = fs.Int("executors", runtime.GOMAXPROCS(0), "in-process executors draining the cell queue")
+		local     = fs.Bool("local", true, "execute cells in-process too (false = pure coordinator; cells wait for vbrworker processes)")
 		leaseTTL  = fs.Duration("lease-ttl", 10*time.Second, "worker lease TTL; an unheartbeated checkout re-queues after this")
 		sweep     = fs.Duration("sweep", 0, "lease expiry sweep interval (default lease-ttl/4)")
 		longPoll  = fs.Duration("longpoll", 30*time.Second, "max duration of one ?wait=1 status long-poll")
@@ -96,7 +97,7 @@ func serve(args []string) {
 		defer tr.Flush()
 	}
 	s, err := farm.NewServerWith(*dir, farm.ServerOptions{
-		Shards:        *shards,
+		Executors:     *executors,
 		NoLocalExec:   !*local,
 		LeaseTTL:      *leaseTTL,
 		SweepInterval: *sweep,
@@ -110,7 +111,7 @@ func serve(args []string) {
 		s.Stop()
 		fail(err)
 	}
-	fmt.Printf("vbrfarm: serving on %s (state %s, %d shards)\n", bound, *dir, *shards)
+	fmt.Printf("vbrfarm: serving on %s (state %s, %d executors)\n", bound, *dir, len(s.Snapshot().ShardOccupancy))
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -1,7 +1,7 @@
 // Command vbrworker is a farm worker process: it pulls batched sweep
 // cells from a vbrfarm server over the lease/heartbeat/complete HTTP
 // protocol, executes them through the same deterministic simulation
-// paths the server's local pool uses, and uploads each result before
+// paths the server's local executors use, and uploads each result before
 // acknowledging. Workers are disposable by design — they hold no
 // durable state, heartbeat while they compute, and a killed or wedged
 // worker simply lets its leases expire so the server re-queues the

@@ -1,10 +1,11 @@
 // Package farm is the simulation-farm service: a long-running server
 // that accepts sweep jobs — machine configurations × workloads × seeds ×
 // fault plans, litmus batteries, and simulator-speed bench cells — over
-// HTTP, shards the cells across a work-stealing worker pool, and dedupes
-// execution through a content-addressed result cache keyed on the
-// machine-config digest, workload-parameters digest, seed, and code
-// fingerprint (internal/farm/cachekey). Because the simulator is
+// HTTP, queues the cells on one FIFO that in-process executors and
+// remote worker processes both drain, and dedupes execution through a
+// content-addressed result cache keyed on the machine-config digest,
+// workload-parameters digest, seed, and code fingerprint
+// (internal/farm/cachekey). Because the simulator is
 // enforced-deterministic, a cell's result is a pure function of its key:
 // the cache is exact, results are bit-identical across restarts, and a
 // resubmitted job costs only the cells nobody has run before. Durability
@@ -18,8 +19,8 @@ package farm
 // lockorder analyzer. The locks are deliberately never nested today
 // (every helper releases one before taking the next); the declared
 // order is the contract new code must follow if it ever has to hold
-// two at once: server/pool/cache/metrics "mu" first, then the lease
-// table's leaseMu, then a worker's heartbeat hbMu.
+// two at once: server/cache/metrics "mu" first, then the cell queue's
+// leaseMu, then a worker's heartbeat hbMu.
 //
 //vbr:lockorder mu leaseMu hbMu
 

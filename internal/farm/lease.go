@@ -1,12 +1,15 @@
-// The distributed-worker lease layer: remote worker processes check
-// cells out in batches over HTTP, renew them with heartbeats, and post
-// results back through the cache-before-acknowledge path. A pending
-// cell is owned by exactly one executor at a time — the local pool or
-// one lease — but ownership is only an optimization: every completion
-// funnels through the content-addressed cache, where equal keys imply
-// equal results, so a worker finishing after its lease expired (or two
-// executors racing across an expiry window) resolves as a benign
-// duplicate rather than a conflict. A lease that outlives its TTL
+// The cell queue and its executors. The server's local executors and
+// remote worker processes drain one FIFO of queued cells: a local
+// executor pops the oldest queued cell in-process, while a remote
+// worker checks cells out in batches over HTTP, renews them with
+// heartbeats, and posts results back through the
+// cache-before-acknowledge path. A pending cell is owned by exactly one
+// executor at a time — a local executor or one lease — but ownership
+// is only an optimization: every completion funnels through the
+// content-addressed cache, where equal keys imply equal results, so a
+// worker finishing after its lease expired (or two executors racing
+// across an expiry window) resolves as a benign duplicate rather than a
+// conflict. A lease that outlives its TTL
 // without a heartbeat is swept back into the queue, so a SIGKILLed or
 // wedged worker strands nothing.
 
@@ -95,7 +98,7 @@ type cellState int
 const (
 	// cellQueued: available for local execution or a worker lease.
 	cellQueued cellState = iota
-	// cellLocal: a local pool worker is executing it.
+	// cellLocal: a local executor is executing it.
 	cellLocal
 	// cellLeased: a remote worker holds it under a live (or expired but
 	// not yet swept) lease.
@@ -143,10 +146,19 @@ func (s *Server) now() time.Time {
 }
 
 // dispatch routes one cache-missed cell: join an existing pending cell
-// with the same key, or queue a new one and (in hybrid mode) hand the
-// local pool a claim on it.
+// with the same key, or queue a new one and wake an executor. A cell
+// that arrives after Stop closed the queue is dropped like any queued
+// cell: its job is marked interrupted and recovery re-runs it.
 func (s *Server) dispatch(j *job, i int, c Cell, key string) {
 	s.leaseMu.Lock()
+	if s.closed {
+		s.leaseMu.Unlock()
+		s.mu.Lock()
+		j.interrupted = true
+		s.cond.Broadcast()
+		s.mu.Unlock()
+		return
+	}
 	if pc, ok := s.pending[key]; ok {
 		pc.waiters = append(pc.waiters, waiter{j, i})
 		s.leaseMu.Unlock()
@@ -156,54 +168,75 @@ func (s *Server) dispatch(j *job, i int, c Cell, key string) {
 		waiters: []waiter{{j, i}}}
 	s.pending[key] = pc
 	s.queue = append(s.queue, pc)
+	s.work.Signal()
 	s.leaseMu.Unlock()
-	if !s.opt.NoLocalExec {
-		s.submitLocal(pc)
+}
+
+// startExecutors starts n local executors on the cell queue.
+func (s *Server) startExecutors(n int) {
+	s.leaseMu.Lock()
+	first := len(s.executed)
+	s.executed = append(s.executed, make([]uint64, n)...)
+	s.leaseMu.Unlock()
+	for i := first; i < first+n; i++ {
+		s.execWG.Add(1)
+		go s.execute(i)
 	}
 }
 
-// submitLocal hands the pool a claim on pc. If the pool has stopped
-// (shutdown in progress — the crash analog), the cell's jobs are marked
-// interrupted exactly as dropped queue entries always were.
-func (s *Server) submitLocal(pc *pendingCell) {
-	ok := s.pool.Submit(shardOf(pc.key, s.pool.Shards()), func() { s.runLocal(pc) })
-	if ok {
-		return
+// execute is local executor i: claim the oldest queued cell, execute
+// it, cache before acknowledging, resolve; return once Stop closes the
+// queue.
+func (s *Server) execute(i int) {
+	defer s.execWG.Done()
+	for {
+		pc := s.claim(i)
+		if pc == nil {
+			return
+		}
+		res, err := pc.cell.Execute()
+		if err == nil {
+			// Cache before acknowledging: once a result is visible it
+			// must be durable, or a crash between the two could serve a
+			// cell cheaply now and expensively later.
+			if cerr := s.cache.Put(pc.key, res); cerr != nil {
+				err = cerr
+			}
+		}
+		s.resolve(pc.key, res, err, false)
 	}
-	s.leaseMu.Lock()
-	waiters := append([]waiter(nil), pc.waiters...)
-	s.leaseMu.Unlock()
-	s.mu.Lock()
-	for _, w := range waiters {
-		w.j.interrupted = true
-	}
-	s.cond.Broadcast()
-	s.mu.Unlock()
 }
 
-// runLocal is the pool-side executor: claim the cell if it is still
-// queued (a worker may have leased it first — then this claim is a
-// no-op and the lease, or its expiry sweep, owns the cell), execute,
-// cache before acknowledging, resolve.
-func (s *Server) runLocal(pc *pendingCell) {
+// claim takes the oldest queued cell for executor i, waiting while the
+// queue is dry. It returns nil once the queue is closed.
+func (s *Server) claim(i int) *pendingCell {
 	s.leaseMu.Lock()
-	if pc.state != cellQueued {
-		s.leaseMu.Unlock()
-		return
+	defer s.leaseMu.Unlock()
+	for !s.closed {
+		if pc := s.popLocked(); pc != nil {
+			pc.state = cellLocal
+			s.executed[i]++
+			return pc
+		}
+		s.work.Wait()
 	}
-	pc.state = cellLocal
-	s.leaseMu.Unlock()
+	return nil
+}
 
-	res, err := pc.cell.Execute()
-	if err == nil {
-		// Cache before acknowledging: once a result is visible it must
-		// be durable, or a crash between the two could serve a cell
-		// cheaply now and expensively later.
-		if cerr := s.cache.Put(pc.key, res); cerr != nil {
-			err = cerr
+// popLocked removes and returns the oldest queued cell, or nil when none
+// is queued. Stale entries ahead of it (resolved by a late completion
+// after their lease expired) are dropped on the way. Caller holds
+// s.leaseMu.
+func (s *Server) popLocked() *pendingCell {
+	for len(s.queue) > 0 {
+		pc := s.queue[0]
+		s.queue[0] = nil
+		s.queue = s.queue[1:]
+		if pc.state == cellQueued {
+			return pc
 		}
 	}
-	s.resolve(pc.key, res, err, false)
+	return nil
 }
 
 // resolve marks the pending cell for key done and fans its result out
@@ -243,9 +276,8 @@ func (s *Server) resolve(key string, raw json.RawMessage, execErr error, remote 
 	return false
 }
 
-// grantLeases checks out up to max queued cells to worker, stamping
-// each with a fresh lease and the TTL deadline. Stale queue entries
-// (claimed locally or resolved) are compacted out in passing.
+// grantLeases checks out up to max of the oldest queued cells to
+// worker, stamping each with a fresh lease and the TTL deadline.
 func (s *Server) grantLeases(worker string, max int) []LeasedCell {
 	if max <= 0 {
 		max = 1
@@ -257,14 +289,10 @@ func (s *Server) grantLeases(worker string, max int) []LeasedCell {
 	s.leaseMu.Lock()
 	w := s.workerLocked(worker, now)
 	var out []LeasedCell
-	rest := s.queue[:0]
-	for _, pc := range s.queue {
-		if pc.state != cellQueued {
-			continue // claimed or resolved since queued: drop
-		}
-		if len(out) >= max {
-			rest = append(rest, pc)
-			continue
+	for len(out) < max {
+		pc := s.popLocked()
+		if pc == nil {
+			break
 		}
 		s.leaseSeq++
 		pc.state = cellLeased
@@ -275,7 +303,6 @@ func (s *Server) grantLeases(worker string, max int) []LeasedCell {
 		w.leased++
 		out = append(out, LeasedCell{Lease: pc.lease, Key: pc.key, Cell: pc.cell})
 	}
-	s.queue = rest
 	s.leaseMu.Unlock()
 
 	if len(out) > 0 {
@@ -321,8 +348,9 @@ func (s *Server) renewLeases(worker string) int {
 }
 
 // expireLeases is the sweeper body: every leased cell past its deadline
-// goes back to the queue (and, in hybrid mode, back to the local pool),
-// so a dead worker's checkout strands nothing beyond one TTL.
+// goes back to the queue, where whichever executor is free — local or
+// remote — picks it up, so a dead worker's checkout strands nothing
+// beyond one TTL.
 func (s *Server) expireLeases() {
 	now := s.now()
 	s.leaseMu.Lock()
@@ -344,6 +372,9 @@ func (s *Server) expireLeases() {
 			expired = append(expired, pc)
 		}
 	}
+	if len(expired) > 0 {
+		s.work.Broadcast()
+	}
 	s.leaseMu.Unlock()
 
 	if len(expired) == 0 {
@@ -353,11 +384,6 @@ func (s *Server) expireLeases() {
 	if s.tr != nil {
 		s.tr.Emit(trace.Event{Kind: trace.KFarmLease, Reason: trace.RFarmLeaseExpired,
 			Core: -1, Aux: uint64(len(expired))})
-	}
-	if !s.opt.NoLocalExec {
-		for _, pc := range expired {
-			s.submitLocal(pc)
-		}
 	}
 }
 
@@ -376,15 +402,25 @@ func (s *Server) scheduleSweep() {
 	})
 }
 
-// stopSweeper halts lease expiry; called once from Stop.
-func (s *Server) stopSweeper() {
+// closeQueue halts lease expiry and the local executors, waits for
+// in-flight cells to finish into the cache, and returns how many queued
+// cells it dropped; called once from Stop.
+func (s *Server) closeQueue() (dropped int) {
 	s.leaseMu.Lock()
 	s.closed = true
 	t := s.sweeper
+	for _, pc := range s.queue {
+		if pc.state == cellQueued {
+			dropped++
+		}
+	}
+	s.work.Broadcast()
 	s.leaseMu.Unlock()
 	if t != nil {
 		t.Stop()
 	}
+	s.execWG.Wait()
+	return dropped
 }
 
 // workerLocked finds or registers the worker's registry entry and
@@ -420,9 +456,9 @@ func (s *Server) workerSnapshots() []WorkerSnapshot {
 	return out
 }
 
-// queueDepth counts genuinely lease-able cells (state queued) and total
-// pending cells for the metrics snapshot.
-func (s *Server) queueDepth() (queued, pending int) {
+// queueSnapshot reports, for the metrics snapshot, the cells each local
+// executor has run, the genuinely queued cells, and all pending cells.
+func (s *Server) queueSnapshot() (executed []uint64, queued, pending int) {
 	s.leaseMu.Lock()
 	defer s.leaseMu.Unlock()
 	for _, pc := range s.queue {
@@ -430,7 +466,7 @@ func (s *Server) queueDepth() (queued, pending int) {
 			queued++
 		}
 	}
-	return queued, len(s.pending)
+	return append([]uint64{}, s.executed...), queued, len(s.pending)
 }
 
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {

@@ -35,7 +35,6 @@ func (c *fakeClock) Advance(d time.Duration) {
 func startLeaseServer(t *testing.T, clock *fakeClock) (*Server, *Client) {
 	t.Helper()
 	s, err := NewServerWith(t.TempDir(), ServerOptions{
-		Shards:        1,
 		NoLocalExec:   true,
 		LeaseTTL:      time.Minute,
 		SweepInterval: 20 * time.Millisecond,
@@ -266,7 +265,6 @@ func TestWorkerReportedErrorFailsJob(t *testing.T) {
 func TestLongPollBounded(t *testing.T) {
 	clock := newFakeClock()
 	s, err := NewServerWith(t.TempDir(), ServerOptions{
-		Shards:      1,
 		NoLocalExec: true, // nobody will execute: the job stays running
 		LeaseTTL:    time.Minute,
 		LongPollMax: 150 * time.Millisecond,

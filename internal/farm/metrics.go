@@ -1,8 +1,8 @@
 // Farm service metrics: monotonically increasing counters for the
 // /v1/metrics endpoint and the trace stream — jobs accepted and
-// completed, cells executed on a worker versus served from the
-// content-addressed cache, the pool's shard occupancy, and the
-// distributed-worker lease protocol (grants, renewals, expirations,
+// completed, cells executed versus served from the content-addressed
+// cache, cells run per local executor, and the distributed-worker lease
+// protocol (grants, renewals, expirations,
 // re-queues, remote and duplicate completions).
 
 package farm
@@ -47,9 +47,10 @@ type MetricsSnapshot struct {
 	// win.
 	CellsExecuted uint64 `json:"cells_executed"`
 	CellsCached   uint64 `json:"cells_cached"`
-	// ShardOccupancy is tasks executed per local pool worker;
-	// TasksStolen is how many ran away from their home shard
-	// (work-stealing traffic).
+	// ShardOccupancy is cells executed per local executor. TasksStolen
+	// is always 0: every executor drains one shared queue, so no cell
+	// has a home shard to be stolen from. Both keep their names for the
+	// endpoint's existing readers.
 	ShardOccupancy []uint64 `json:"shard_occupancy"`
 	TasksStolen    uint64   `json:"tasks_stolen"`
 	// CacheEntries is the persistent result-cache size; CacheHits and
@@ -70,7 +71,8 @@ type MetricsSnapshot struct {
 	// because a high rate means leases are expiring under live workers.
 	RemoteCompletions    uint64 `json:"remote_completions"`
 	DuplicateCompletions uint64 `json:"duplicate_completions"`
-	// QueuedCells is how many cells are currently lease-able;
+	// QueuedCells is how many cells wait in the queue for a local
+	// executor or a lease;
 	// PendingCells additionally counts cells claimed by an executor but
 	// not yet resolved.
 	QueuedCells  int `json:"queued_cells"`
@@ -133,7 +135,7 @@ func (m *Metrics) duplicateCompletion() {
 	m.mu.Unlock()
 }
 
-// snapshot captures the counters; pool, cache, queue, and worker
+// snapshot captures the counters; executor, cache, queue, and worker
 // fields are filled by the server, which owns those objects.
 func (m *Metrics) snapshot() MetricsSnapshot {
 	m.mu.Lock()

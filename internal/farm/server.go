@@ -15,7 +15,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"net"
 	"net/http"
 	"os"
@@ -125,13 +124,13 @@ func (j *job) status() JobStatus {
 // ServerOptions tunes the farm service beyond its defaults. The zero
 // value of every field means "use the default".
 type ServerOptions struct {
-	// Shards is the local work-stealing pool's shard count (default
-	// GOMAXPROCS via NewServer; minimum 1).
-	Shards int
-	// NoLocalExec turns the server into a pure coordinator: cache
-	// misses wait for remote workers instead of also being drained by
-	// the local pool. The default (false) is hybrid execution — the
-	// local pool is the fallback that finishes a job even if every
+	// Executors is the number of in-process executors draining the
+	// cell queue (minimum 1).
+	Executors int
+	// NoLocalExec turns the server into a pure coordinator: no
+	// executors start, and cache misses wait for remote workers. The
+	// default (false) is hybrid execution — the local executors and
+	// worker leases drain one queue, so a job finishes even if every
 	// worker dies.
 	NoLocalExec bool
 	// LeaseTTL is how long a checked-out cell survives without a
@@ -155,8 +154,8 @@ type ServerOptions struct {
 
 // withDefaults fills unset options.
 func (o ServerOptions) withDefaults() ServerOptions {
-	if o.Shards < 1 {
-		o.Shards = 1
+	if o.Executors < 1 {
+		o.Executors = 1
 	}
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = 10 * time.Second
@@ -181,7 +180,6 @@ func (o ServerOptions) withDefaults() ServerOptions {
 type Server struct {
 	dir     string
 	opt     ServerOptions
-	pool    *Pool
 	cache   *Cache
 	jobs    *par.Journal
 	tr      *trace.Tracer
@@ -191,11 +189,16 @@ type Server struct {
 	cond *sync.Cond
 	byID map[string]*job
 
-	// Lease state: pending cells by cache key, the FIFO of lease-able
-	// cells, the worker registry, and the expiry sweeper.
+	// Queue state: pending cells by cache key, the FIFO that local
+	// executors and worker leases both drain, the condition executors
+	// wait on, cells run per executor, the worker registry, and the
+	// expiry sweeper.
 	leaseMu  sync.Mutex
+	work     *sync.Cond
 	pending  map[string]*pendingCell
 	queue    []*pendingCell
+	executed []uint64
+	execWG   sync.WaitGroup
 	workers  map[string]*workerInfo
 	leaseSeq uint64
 	sweeper  *time.Timer
@@ -206,14 +209,14 @@ type Server struct {
 }
 
 // NewServer opens the farm's state directory with default options and
-// the given local pool shard count. See NewServerWith.
-func NewServer(dir string, shards int, tr *trace.Tracer) (*Server, error) {
-	return NewServerWith(dir, ServerOptions{Shards: shards}, tr)
+// n local executors. See NewServerWith.
+func NewServer(dir string, n int, tr *trace.Tracer) (*Server, error) {
+	return NewServerWith(dir, ServerOptions{Executors: n}, tr)
 }
 
 // NewServerWith opens the farm's state directory (results.jsonl: the
 // content-addressed cache; jobs.jsonl: accepted specs and completion
-// markers), starts the local pool and the lease-expiry sweeper, and
+// markers), starts the local executors and the lease-expiry sweeper, and
 // re-enqueues any job the previous process accepted but never
 // completed.
 func NewServerWith(dir string, opt ServerOptions, tr *trace.Tracer) (*Server, error) {
@@ -233,7 +236,6 @@ func NewServerWith(dir string, opt ServerOptions, tr *trace.Tracer) (*Server, er
 	s := &Server{
 		dir:     dir,
 		opt:     opt,
-		pool:    NewPool(opt.Shards),
 		cache:   cache,
 		jobs:    jobs,
 		tr:      tr,
@@ -243,6 +245,10 @@ func NewServerWith(dir string, opt ServerOptions, tr *trace.Tracer) (*Server, er
 		workers: make(map[string]*workerInfo),
 	}
 	s.cond = sync.NewCond(&s.mu)
+	s.work = sync.NewCond(&s.leaseMu)
+	if !opt.NoLocalExec {
+		s.startExecutors(opt.Executors)
+	}
 	if err := s.recover(); err != nil {
 		s.Stop()
 		return nil, err
@@ -280,11 +286,10 @@ func (s *Server) recover() error {
 }
 
 // enqueue registers the job and dispatches its cells: cache hits are
-// filled synchronously, misses go to the pool shard their key hashes
-// to. Resubmitting an ID already known to this process returns the
-// existing state unless fresh is set, which re-runs the job through the
-// cache (the cells still hit; fresh forces re-counting, not
-// re-simulation).
+// filled synchronously, misses join the cell queue. Resubmitting an ID
+// already known to this process returns the existing state unless
+// fresh is set, which re-runs the job through the cache (the cells
+// still hit; fresh forces re-counting, not re-simulation).
 func (s *Server) enqueue(spec JobSpec, fresh bool) (*job, error) {
 	cells, err := spec.Cells()
 	if err != nil {
@@ -325,9 +330,9 @@ func (s *Server) enqueue(spec JobSpec, fresh bool) (*job, error) {
 			s.finishCell(j, i, raw, true, nil)
 			continue
 		}
-		// Cache miss: the cell goes to the dispatcher, where the local
-		// pool and remote worker leases drain one shared queue. Equal
-		// keys across jobs share one pending cell and one execution.
+		// Cache miss: the cell joins the queue that local executors and
+		// remote worker leases both drain. Equal keys across jobs share
+		// one pending cell and one execution.
 		s.dispatch(j, i, cells[i], keys[i])
 	}
 	return j, nil
@@ -395,24 +400,13 @@ func (s *Server) completeLocked(j *job) {
 	}
 }
 
-// shardOf hashes a cache key onto a shard. FNV-1a is deterministic
-// across processes, so a cell always lands on the same home shard.
-func shardOf(key string, shards int) int {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(key)) // hash.Hash.Write never returns an error
-
-	return int(h.Sum32() % uint32(shards))
-}
-
-// Snapshot returns the current metrics, including pool occupancy,
+// Snapshot returns the current metrics, including executor occupancy,
 // cache counters, lease-protocol counters, and the worker registry.
 func (s *Server) Snapshot() MetricsSnapshot {
 	snap := s.metrics.snapshot()
-	snap.ShardOccupancy = s.pool.Occupancy()
-	snap.TasksStolen = s.pool.Stolen()
 	snap.CacheEntries = s.cache.Len()
 	snap.CacheHits, snap.CacheMisses = s.cache.Stats()
-	snap.QueuedCells, snap.PendingCells = s.queueDepth()
+	snap.ShardOccupancy, snap.QueuedCells, snap.PendingCells = s.queueSnapshot()
 	snap.Workers = s.workerSnapshots()
 	return snap
 }
@@ -577,11 +571,10 @@ func (s *Server) Start(addr string) (net.Addr, error) {
 // cache benignly), incomplete jobs are marked interrupted, and the
 // journals are closed. Stop returns how many queued cells were dropped.
 func (s *Server) Stop() int {
-	s.stopSweeper()
 	if s.http != nil {
 		_ = s.http.Close()
 	}
-	dropped := s.pool.Stop()
+	dropped := s.closeQueue()
 	s.mu.Lock()
 	ids := make([]string, 0, len(s.byID))
 	for id := range s.byID {

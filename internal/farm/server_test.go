@@ -8,9 +8,9 @@ import (
 	"time"
 )
 
-func startServer(t *testing.T, dir string, shards int) (*Server, *Client) {
+func startServer(t *testing.T, dir string, executors int) (*Server, *Client) {
 	t.Helper()
-	s, err := NewServer(dir, shards, nil)
+	s, err := NewServer(dir, executors, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,6 +99,136 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 }
 
+// TestPoolRunsEverything: with several jobs queued at once, the pool of
+// local executors runs every cell exactly once and the per-executor
+// occupancy counters account for all of them.
+func TestPoolRunsEverything(t *testing.T) {
+	srv, c := startServer(t, t.TempDir(), 4)
+	const jobs = 6
+	ids := make([]string, 0, jobs)
+	total := 0
+	for k := 0; k < jobs; k++ {
+		spec := testSpec()
+		spec.Litmus.Seed += uint64(100 + k)
+		spec.Bench.Seed += uint64(100 + k)
+		st, err := c.Submit(spec, false)
+		if err != nil {
+			srv.Stop()
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+		total += st.Total
+	}
+	for _, id := range ids {
+		st, err := c.Wait(id, 2*time.Minute)
+		if err != nil {
+			srv.Stop()
+			t.Fatal(err)
+		}
+		if st.State != StateDone || st.Executed != st.Total || st.Cached != 0 {
+			srv.Stop()
+			t.Fatalf("job %s: %+v, want done with every cell executed once", id, st)
+		}
+	}
+	m := srv.Snapshot()
+	if m.CellsExecuted != uint64(total) {
+		srv.Stop()
+		t.Fatalf("executed %d cells, want %d", m.CellsExecuted, total)
+	}
+	var occ uint64
+	for _, n := range m.ShardOccupancy {
+		occ += n
+	}
+	if len(m.ShardOccupancy) != 4 || occ != uint64(total) {
+		srv.Stop()
+		t.Fatalf("executor occupancy %v sums to %d, want 4 executors summing to %d",
+			m.ShardOccupancy, occ, total)
+	}
+	if dropped := srv.Stop(); dropped != 0 {
+		t.Fatalf("dropped %d cells after every job finished", dropped)
+	}
+}
+
+// TestServerQueueDrains: a hybrid server with no remote workers leaves
+// nothing behind in its cell queue once its jobs finish — executed
+// cells leave the queue as the executors claim them.
+func TestServerQueueDrains(t *testing.T) {
+	srv, c := startServer(t, t.TempDir(), 2)
+	defer srv.Stop()
+	const jobs = 5
+	for k := 0; k < jobs; k++ {
+		spec := testSpec()
+		spec.Litmus.Seed += uint64(k)
+		spec.Bench.Seed += uint64(k)
+		st, err := c.Submit(spec, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, err = c.Wait(st.ID, 2*time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		if st.State != StateDone || st.Executed != st.Total {
+			t.Fatalf("job %d: %+v, want done with every cell executed", k, st)
+		}
+	}
+	srv.leaseMu.Lock()
+	left := len(srv.queue)
+	srv.leaseMu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d cells left in the queue after every job finished, want 0", left)
+	}
+	if m := srv.Snapshot(); m.QueuedCells != 0 || m.PendingCells != 0 {
+		t.Fatalf("metrics queued=%d pending=%d after every job finished, want 0/0",
+			m.QueuedCells, m.PendingCells)
+	}
+}
+
+// TestServerStopDropsQueued: Stop is the crash analog. Stopping a
+// one-executor server right after a many-cell submission drops the
+// queued cells (every cell was either executed or dropped), nothing
+// executes once Stop returns, and a restart on the same directory
+// re-runs exactly the dropped cells to the uninterrupted digest.
+func TestServerStopDropsQueued(t *testing.T) {
+	spec := JobSpec{Litmus: &LitmusSpec{Runs: 2, Seed: 21}} // full battery × all configs
+	want := controlDigest(t, spec)
+
+	dir := t.TempDir()
+	srv, c := startServer(t, dir, 1)
+	st, err := c.Submit(spec, false)
+	if err != nil {
+		srv.Stop()
+		t.Fatal(err)
+	}
+	dropped := srv.Stop()
+	m := srv.Snapshot()
+	t.Logf("dropped %d of %d", dropped, st.Total)
+	if dropped == 0 {
+		t.Fatalf("Stop right after a %d-cell submission dropped nothing", st.Total)
+	}
+	if uint64(dropped)+m.CellsExecuted != uint64(st.Total) {
+		t.Fatalf("dropped %d + executed %d != total %d", dropped, m.CellsExecuted, st.Total)
+	}
+	time.Sleep(50 * time.Millisecond)
+	if after := srv.Snapshot(); after.CellsExecuted != m.CellsExecuted {
+		t.Fatalf("cells executed rose from %d to %d after Stop returned",
+			m.CellsExecuted, after.CellsExecuted)
+	}
+
+	srv2, c2 := startServer(t, dir, 1)
+	defer srv2.Stop()
+	st2, err := c2.Wait(st.ID, 5*time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st2.State != StateDone || st2.Digest != want {
+		t.Fatalf("recovered job %+v, want done with the uninterrupted digest %s", st2, want)
+	}
+	if st2.Executed != dropped || uint64(st2.Cached) != m.CellsExecuted {
+		t.Fatalf("recovery executed %d and served %d cached, want the %d dropped and %d finished",
+			st2.Executed, st2.Cached, dropped, m.CellsExecuted)
+	}
+}
+
 // TestServerRejectsBadSpec: validation errors surface as HTTP 400s with
 // the server's message, not as accepted-then-failed jobs.
 func TestServerRejectsBadSpec(t *testing.T) {
@@ -139,7 +269,7 @@ func TestServerCrashRestartRecovery(t *testing.T) {
 	ctrl.Stop()
 
 	// Victim: same spec on a fresh directory, killed once at least half
-	// the cells have landed. One shard throttles throughput so the kill
+	// the cells have landed. One executor throttles throughput so the kill
 	// reliably catches the job mid-flight.
 	dir := t.TempDir()
 	srv1, c1 := startServer(t, dir, 1)

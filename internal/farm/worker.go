@@ -1,6 +1,6 @@
 // The remote-worker runtime behind cmd/vbrworker: lease a batch of
 // cells, execute them through the exact same litmus.RunCell /
-// experiments.MeasureCell paths the server's local pool uses, upload
+// experiments.MeasureCell paths the server's local executors use, upload
 // each result (cache-before-acknowledge on the server side), and
 // heartbeat in the background so the leases outlive long cells. The
 // worker is deliberately stateless: it holds no journal and no cache,

@@ -117,7 +117,6 @@ func TestWorkerSIGKILLMidCell(t *testing.T) {
 	want := controlDigest(t, spec)
 
 	s, err := NewServerWith(t.TempDir(), ServerOptions{
-		Shards:        1,
 		NoLocalExec:   true, // pure coordinator: only workers execute
 		LeaseTTL:      400 * time.Millisecond,
 		SweepInterval: 50 * time.Millisecond,
@@ -172,15 +171,15 @@ func TestWorkerSIGKILLMidCell(t *testing.T) {
 }
 
 // TestExpiredLeaseFallsBackToLocalPool: in hybrid mode a dead worker's
-// cells re-enter the local pool, so a farm with zero live workers still
-// finishes the job. The pool's one shard is parked behind a blocker
-// until after the lease expires, which makes the claim/lease race
-// deterministic: the worker leases first, dies silently, and the local
-// pool executes the re-queued cell — no Complete call ever arrives.
+// cells re-enter the queue the local executors drain, so a farm with
+// zero live workers still finishes the job. The server starts as a pure
+// coordinator, so the worker's lease is the only claim on the cell; once
+// the lease expires, one local executor starts — exactly as NewServerWith
+// starts them — and runs the re-queued cell. No Complete call arrives.
 func TestExpiredLeaseFallsBackToLocalPool(t *testing.T) {
 	clock := newFakeClock()
 	s, err := NewServerWith(t.TempDir(), ServerOptions{
-		Shards:        1,
+		NoLocalExec:   true,
 		LeaseTTL:      time.Minute,
 		SweepInterval: 20 * time.Millisecond,
 		Clock:         clock.Now,
@@ -195,9 +194,6 @@ func TestExpiredLeaseFallsBackToLocalPool(t *testing.T) {
 	}
 	c := &Client{Base: "http://" + addr.String(), Retry: RetryPolicy{Attempts: 1}}
 
-	release := make(chan struct{})
-	s.pool.Submit(0, func() { <-release })
-
 	st, err := c.Submit(oneCellSpec(), false)
 	if err != nil {
 		t.Fatal(err)
@@ -207,17 +203,17 @@ func TestExpiredLeaseFallsBackToLocalPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(la.Cells) != 1 {
-		t.Fatalf("leased %d cells, want 1 (pool is parked; nothing local claimed it)", len(la.Cells))
+		t.Fatalf("leased %d cells, want 1", len(la.Cells))
 	}
 
 	// The worker dies without a word; its lease expires.
 	clock.Advance(time.Minute + time.Second)
 	waitSnapshot(t, s, "lease expiry", func(m MetricsSnapshot) bool {
-		return m.LeasesExpired >= 1
+		return m.LeasesExpired >= 1 && m.QueuedCells == 1
 	})
 
-	// Unpark the pool: the re-queued cell runs locally.
-	close(release)
+	// A local executor drains the re-queued cell.
+	s.startExecutors(1)
 	st, err = c.Wait(st.ID, 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +223,10 @@ func TestExpiredLeaseFallsBackToLocalPool(t *testing.T) {
 	}
 	m := s.Snapshot()
 	if m.RemoteCompletions != 0 {
-		t.Fatalf("remote completions %d, want 0 — the local pool must have run the cell", m.RemoteCompletions)
+		t.Fatalf("remote completions %d, want 0 — the local executor must have run the cell", m.RemoteCompletions)
+	}
+	if len(m.ShardOccupancy) != 1 || m.ShardOccupancy[0] != 1 {
+		t.Fatalf("executor occupancy %v, want [1]", m.ShardOccupancy)
 	}
 }
 
@@ -240,7 +239,7 @@ func TestWorkerSurvivesServerRestart(t *testing.T) {
 	want := controlDigest(t, spec)
 	dir := t.TempDir()
 
-	opts := ServerOptions{Shards: 1, NoLocalExec: true,
+	opts := ServerOptions{NoLocalExec: true,
 		LeaseTTL: 2 * time.Second, SweepInterval: 100 * time.Millisecond}
 	s1, err := NewServerWith(dir, opts, nil)
 	if err != nil {

@@ -74,7 +74,16 @@ func OpenJournal(path, fingerprint string) (*Journal, error) {
 	// lines; everything after (a truncated tail from a killed run, or an
 	// unparsable record) is cut before appending resumes.
 	validLen := int64(0)
+	hdr, _ := json.Marshal(journalHeader{Fingerprint: fingerprint})
+	hdr = append(hdr, '\n')
 	if raw, err := os.ReadFile(path); err == nil && len(raw) > 0 {
+		// With no complete first line, the file is a journal only if
+		// creation was killed mid-header: then its bytes are a prefix
+		// of the header this fingerprint writes. Anything else is a
+		// foreign file and stays untouched.
+		if bytes.IndexByte(raw, '\n') < 0 && !bytes.HasPrefix(hdr, raw) {
+			return nil, fmt.Errorf("par: %s is not a sweep journal", path)
+		}
 		rest := raw
 		first := true
 		for {
@@ -118,8 +127,7 @@ func OpenJournal(path, fingerprint string) (*Journal, error) {
 		return nil, err
 	}
 	if validLen == 0 {
-		hdr, _ := json.Marshal(journalHeader{Fingerprint: fingerprint})
-		if _, err := f.Write(append(hdr, '\n')); err != nil {
+		if _, err := f.Write(hdr); err != nil {
 			_ = f.Close() // the write/truncate error is the one worth reporting
 			return nil, &JournalError{Path: path, Op: "append", Err: err}
 		}

@@ -69,6 +69,38 @@ func TestJournalNotAJournal(t *testing.T) {
 	}
 }
 
+// TestJournalForeignFileNoNewline: a foreign file with no complete
+// first line is refused and left byte-identical, exactly like one with
+// a newline. Only a prefix of the header itself — creation killed
+// mid-write — is completed into a fresh journal.
+func TestJournalForeignFileNoNewline(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "data.json")
+	orig := []byte(`{"important":"data"}`)
+	if err := os.WriteFile(path, orig, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenJournal(path, "fp-v1"); err == nil || !strings.Contains(err.Error(), "not a sweep journal") {
+		t.Fatalf("want not-a-journal error, got %v", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != string(orig) {
+		t.Fatalf("foreign file now holds %q (err %v), want it untouched: %q", got, err, orig)
+	}
+
+	path = filepath.Join(dir, "sweep.jsonl")
+	if err := os.WriteFile(path, []byte(`{"fingerprint":"fp-v`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(path, "fp-v1")
+	if err != nil {
+		t.Fatalf("header cut short at creation: %v", err)
+	}
+	j.Close()
+	if got, _ := os.ReadFile(path); string(got) != "{\"fingerprint\":\"fp-v1\"}\n" {
+		t.Fatalf("journal after completing a cut header: %q", got)
+	}
+}
+
 func TestJournalPartialTailTruncated(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.jsonl")
 	j, err := OpenJournal(path, "fp-v1")

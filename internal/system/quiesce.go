@@ -22,6 +22,11 @@ type FFStats struct {
 	// SkippedCycles is the total cycles fast-forwarded (already included
 	// in CycleNum and every core's Stats.Cycles).
 	SkippedCycles int64 `json:"skipped_cycles"`
+	// SkippedCoreCycles is the total core-cycles fast-forwarded: each
+	// window adds its length once per core it advanced. Cores that had
+	// already finished sit a window out, so this can be less than
+	// SkippedCycles times the core count.
+	SkippedCoreCycles int64 `json:"skipped_core_cycles"`
 }
 
 // FastForwardStats returns the run's fast-forward accounting (zero when
@@ -102,6 +107,7 @@ func (s *System) tryFastForward(target uint64, maxCycles int64) bool {
 	for _, c := range s.Cores {
 		if c.Stats.Committed < target {
 			c.FastForward(n)
+			s.ff.SkippedCoreCycles += n
 		}
 	}
 	s.CycleNum = w
