@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"math/bits"
+
 	"vbmo/internal/bpred"
 	"vbmo/internal/cache"
 	"vbmo/internal/config"
@@ -34,7 +36,8 @@ type Core struct {
 
 	nextTag int64
 	rob     entryRing // reorder buffer, capacity ROBSize
-	iq      []*entry  // issue queue, preallocated to IQSize
+	iqLen   int       // issue-queue occupancy: dispatched, unissued entries
+	ready   readySet  // issue-queue entries with every issue operand (ready.go)
 	pend    pendList  // issued, awaiting completion; preallocated
 	psd     []*entry  // stores awaiting data capture; preallocated
 	pool    pool
@@ -83,9 +86,14 @@ type Core struct {
 	replayBase  int   // settled ROB prefix the replay scan starts past
 	loads       loadTracker
 	// The probe charge of a sleeping issue stage: the store-queue
-	// searches and simple-predictor waits its last scan counted, which
+	// searches and simple-predictor waits its last walk counted, which
 	// each skipped issue cycle repeats exactly (see issue).
 	probeSearches, probeWaits uint64
+
+	// IssueVisits counts the issue-queue entries the issue stage has
+	// visited, the issue stage's host-independent work. Like Skip it
+	// lives outside Stats, so it never enters a Result.
+	IssueVisits uint64
 
 	// Skip counts the stage scans elided by the readiness layer; it
 	// lives outside Stats so a skipping run's Result stays bit-identical
@@ -154,7 +162,7 @@ func New(id int, cfg config.Machine, p *prog.Program, mem *prog.Image, hier *cac
 		lastReplayCycle: -1,
 		rob:             newEntryRing(cfg.ROBSize),
 		fetchQ:          newFetchRing(cfg.FetchBuf),
-		iq:              make([]*entry, 0, cfg.IQSize),
+		ready:           newReadySet(cfg.ROBSize),
 		psd:             make([]*entry, 0, cfg.SQSize),
 	}
 	c.pend.init(cfg.ROBSize)
@@ -241,7 +249,7 @@ func (c *Core) SetTracer(t *trace.Tracer) {
 func (c *Core) ROBLen() int { return c.rob.Len() }
 
 // IQLen returns the issue queue's current occupancy.
-func (c *Core) IQLen() int { return len(c.iq) }
+func (c *Core) IQLen() int { return c.iqLen }
 
 // LQLen returns the load queue's current occupancy (FIFO queue on
 // replay machines, associative queue on baselines).
@@ -349,6 +357,9 @@ func (c *Core) writeback() {
 func (c *Core) complete(e *entry) bool {
 	e.done = true
 	e.resultReady = true
+	if e.deps != nil {
+		c.wake(e)
+	}
 	// A completion is the wake event for every sleeping back-end stage:
 	// it can ready a consumer's operand, a store's data, the head, or a
 	// load awaiting its replay decision.
@@ -525,13 +536,6 @@ func (c *Core) commit() {
 			c.arch.WriteReg(e.inst.Dst, e.result)
 			if c.renameMap[e.inst.Dst] == e {
 				c.renameMap[e.inst.Dst] = nil
-			}
-			// Unlink unissued consumers before the entry is recycled:
-			// they latch the value now instead of holding a pointer. The
-			// reference count makes the common no-consumer case O(1)
-			// instead of an IQ+PSD scan.
-			if e.consumers != 0 {
-				c.unlink(e)
 			}
 		}
 		if c.dispatchBarrier == e.tag {
@@ -785,49 +789,57 @@ func (c *Core) issue() {
 		loadPorts: c.cfg.LoadPorts,
 		total:     c.cfg.Width,
 	}
-	// One pass with in-place compaction: issued entries (and strays left
-	// inIQ=false by a squash cycle) drop out, survivors keep their order.
-	// A mid-scan squash rebuilds c.iq via filterOlder and ends the cycle;
-	// entries issued earlier this cycle then linger (inIQ=false) until
-	// this loop drops them next cycle — before dispatch looks at the
-	// queue again, so occupancy checks never see them.
+	// Walk the ready set oldest first, under the same per-class and
+	// total budgets a scan of the whole queue would apply. An entry
+	// still waiting for an operand is not in the set; such an entry
+	// could neither issue nor probe, so skipping it changes no decision.
+	// The walk reads the ring's slots [head, end) and then [0, head) a
+	// word of the set at a time, the head's word twice (high bits first,
+	// low bits last), and stops once it has visited every set bit. A
+	// mid-walk squash (an insulated/hybrid load-issue search) has
+	// already removed the killed entries and ends the cycle.
 	searches, waits := c.sq.Searches, c.simple.Waits
 	acted := false
-	out := 0
-	for i := 0; i < len(c.iq); i++ {
-		e := c.iq[i]
-		if !e.inIQ {
-			acted = true
-			continue
+	head := c.rob.head
+	k0, nw := head>>6, len(c.ready.w)
+	left := c.ready.n
+	for i := 0; i <= nw && left > 0 && b.total > 0; i++ {
+		k := k0 + i
+		if k >= nw {
+			k -= nw
 		}
-		if b.total > 0 {
-			issued, squashed := c.tryIssue(e, &b)
+		w := c.ready.w[k]
+		switch i {
+		case 0:
+			w &= ^uint64(0) << uint(head&63)
+		case nw:
+			w &= 1<<uint(head&63) - 1
+		}
+		for ; w != 0 && b.total > 0; w &= w - 1 {
+			left--
+			c.IssueVisits++
+			issued, squashed := c.tryIssue(c.rob.buf[k<<6|bits.TrailingZeros64(w)], &b)
 			if squashed {
 				return
 			}
 			if issued {
 				acted = true
 				b.total--
-				continue
 			}
 		}
-		c.iq[out] = e
-		out++
 	}
-	clearTail(c.iq[out:])
-	c.iq = c.iq[:out]
-	// Sleep the stage when this scan provably did nothing and would do
-	// nothing else next cycle: nothing issued and no stray dropped.
-	// Because nothing issued, every per-class budget was still full, so
-	// each survivor failed on operand readiness, on a dependence-
-	// predictor wait, or on a forwarding store's missing data — state
+	// Sleep the stage when this walk provably did nothing and would do
+	// nothing else next cycle: nothing issued. Because nothing issued,
+	// every per-class budget was still full, so each ready entry failed
+	// on a dependence-predictor wait or on a forwarding store's missing
+	// data, and every other queued entry still lacks an operand — state
 	// only a completion, a dispatch, or a squash can change, and those
-	// clear the flag. Until then each cycle's scan would repeat this
+	// clear the flag. Until then each cycle's walk would repeat this
 	// one's probes, so the probe charge records the lookups they
 	// counted and every skipped cycle adds it (chargeProbes). The one
 	// exception is a two-level store queue whose searches also counted
 	// level-two probes: those depend on the queue's occupancy, which
-	// commit changes, so such a scan never sleeps.
+	// commit changes, so such a walk never sleeps.
 	if acted {
 		return
 	}
@@ -836,6 +848,15 @@ func (c *Core) issue() {
 		c.issueQuiet = true
 		c.probeSearches, c.probeWaits = ds, c.simple.Waits-waits
 	}
+}
+
+// leaveIQ takes an issuing entry out of the issue queue.
+//
+//vbr:hotpath
+func (c *Core) leaveIQ(e *entry) {
+	e.inIQ = false
+	c.iqLen--
+	c.ready.remove(e.slot)
 }
 
 // chargeProbes adds the probe charge of n skipped issue cycles.
@@ -901,7 +922,7 @@ func (c *Core) issueALU(e *entry, units *int, lat int) bool {
 	}
 	*units--
 	e.issued = true
-	e.inIQ = false
+	c.leaveIQ(e)
 	e.result = e.inst.Eval(s1, s2)
 	e.doneCycle = c.cycle + int64(lat)
 	c.pendPush(e)
@@ -912,15 +933,12 @@ func (c *Core) issueBranch(e *entry, units *int) bool {
 	if *units == 0 {
 		return false
 	}
-	s1, ok := e.srcReady(1)
-	if !ok {
+	if _, ok := e.srcReady(1); !ok {
 		return false
 	}
 	*units--
-	e.src1Val = s1
-	e.src1 = nil // latch the value for resolution
 	e.issued = true
-	e.inIQ = false
+	c.leaveIQ(e)
 	e.doneCycle = c.cycle + int64(c.cfg.IntLat)
 	c.pendPush(e)
 	return true
@@ -945,7 +963,7 @@ func (c *Core) issueStoreAgen(e *entry, units *int) bool {
 	// agenDone ordering flag still take effect at writeback.
 	c.sq.SetAddr(e.sqHandle, e.tag, e.addr)
 	e.issued = true
-	e.inIQ = false
+	c.leaveIQ(e)
 	e.doneCycle = c.cycle + int64(c.cfg.IntLat)
 	c.pendPush(e)
 	return true
@@ -979,7 +997,7 @@ func (c *Core) issueLoad(e *entry, b *fuBudget) (bool, bool) {
 	e.addr = addr
 	e.addrValid = true
 	e.issued = true
-	e.inIQ = false
+	c.leaveIQ(e)
 	e.forwardTag = -1
 	e.nus = r.UnresolvedOlder
 	if e.nus && c.flt != nil && c.flt.SuppressNUS(c.ID, c.cycle) {
@@ -1076,31 +1094,6 @@ func (c *Core) issueLoad(e *entry, b *fuBudget) (bool, bool) {
 	return true, false
 }
 
-// unlink copies a committing producer's result into any consumer that
-// still references it, so the producer's storage can be recycled safely.
-// Only unissued instructions hold producer pointers: everything in the
-// issue queue, plus stores awaiting data capture.
-func (c *Core) unlink(p *entry) {
-	fix := func(e *entry) {
-		if e.src1 == p {
-			e.src1 = nil
-			e.src1Val = p.result
-			p.consumers--
-		}
-		if e.src2 == p {
-			e.src2 = nil
-			e.src2Val = p.result
-			p.consumers--
-		}
-	}
-	for _, e := range c.iq {
-		fix(e)
-	}
-	for _, e := range c.psd {
-		fix(e)
-	}
-}
-
 // priorMemIncomplete reports whether any older memory operation is
 // still incomplete (prior load not done, or prior store address
 // unresolved) — the no-reorder filter's issue-time condition. A store
@@ -1135,7 +1128,7 @@ func (c *Core) dispatch() {
 		f := c.fetchQ.Front()
 		cls := f.cls
 		needIQ := cls != isa.ClassNop && cls != isa.ClassMembar
-		if needIQ && len(c.iq) >= c.cfg.IQSize {
+		if needIQ && c.iqLen >= c.cfg.IQSize {
 			c.Stats.StallIQ++
 			return
 		}
@@ -1170,29 +1163,20 @@ func (c *Core) dispatchOne(f *fetched) {
 	e.forwardTag = -1
 	e.doneCycle = -1
 
-	// Rename: bind sources to producers or architectural values. Each
-	// bind counts on the producer so commit's unlink can skip its scan
-	// once every reference has latched (entry.consumers).
+	// Rename: bind sources to producers (entry.bind) or architectural
+	// values.
 	if f.inst.ReadsReg(1) {
-		r := f.inst.Src1
-		e.reads1 = true
-		if p := c.renameMap[r]; p != nil && r != isa.RZero {
-			e.src1 = p
-			e.src1Gen = p.gen
-			p.consumers++
+		if p := c.renameMap[f.inst.Src1]; p != nil {
+			e.bind(1, p)
 		} else {
-			e.src1Val = c.arch.ReadReg(r)
+			e.src1Val = c.arch.ReadReg(f.inst.Src1)
 		}
 	}
 	if f.inst.ReadsReg(2) {
-		r := f.inst.Src2
-		e.reads2 = true
-		if p := c.renameMap[r]; p != nil && r != isa.RZero {
-			e.src2 = p
-			e.src2Gen = p.gen
-			p.consumers++
+		if p := c.renameMap[f.inst.Src2]; p != nil {
+			e.bind(2, p)
 		} else {
-			e.src2Val = c.arch.ReadReg(r)
+			e.src2Val = c.arch.ReadReg(f.inst.Src2)
 		}
 	}
 	e.writesReg = f.inst.WritesReg()
@@ -1211,11 +1195,9 @@ func (c *Core) dispatchOne(f *fetched) {
 	case isa.ClassBranch:
 		e.isBranch = true
 		e.inIQ = true
-		c.iq = append(c.iq, e)
 	case isa.ClassLoad:
 		e.isLoad = true
 		e.inIQ = true
-		c.iq = append(c.iq, e)
 		c.loads.add(e.tag)
 		e.sqColour = c.sq.NextHandle()
 		if c.vp != nil && !(c.noReplayArmed && e.pc == c.noReplayPC) {
@@ -1246,7 +1228,6 @@ func (c *Core) dispatchOne(f *fetched) {
 	case isa.ClassStore:
 		e.isStore = true
 		e.inIQ = true
-		c.iq = append(c.iq, e)
 		e.sqHandle, _ = c.sq.Insert(e.tag, e.pc)
 		c.psd = append(c.psd, e)
 		c.psdQuiet = false
@@ -1255,9 +1236,14 @@ func (c *Core) dispatchOne(f *fetched) {
 		}
 	default:
 		e.inIQ = true
-		c.iq = append(c.iq, e)
 	}
 	c.rob.Push(e)
+	if e.inIQ {
+		c.iqLen++
+		if e.issueReady() {
+			c.ready.add(e.slot)
+		}
+	}
 	// Dispatch wakes the issue stage (a new queue entry) and, when the
 	// ROB was empty, commit (the new head may already be done).
 	c.issueQuiet = false
@@ -1349,15 +1335,20 @@ func (c *Core) squashFrom(fromTag int64, newPC uint64, branchRepair bool) {
 	c.Stats.SquashedInstrs += uint64(robLen-cut) + uint64(c.fetchQ.Len())
 	// Recycle the killed entries (oldest first, matching the old append
 	// order) before the ring drops its references. Each killed consumer
-	// still holding a producer pointer releases its reference count, and
-	// killed loads leave the incomplete-load bitset.
+	// still waiting on a surviving producer leaves that producer's
+	// dependents list, killed queue entries leave the issue queue and
+	// its ready set, and killed loads leave the incomplete-load tracker.
 	for i := cut; i < robLen; i++ {
 		e := c.rob.At(i)
-		if e.src1 != nil {
-			e.src1.consumers--
+		if p := e.src1; p != nil && p.tag < fromTag {
+			p.trimDeps(fromTag)
 		}
-		if e.src2 != nil {
-			e.src2.consumers--
+		if p := e.src2; p != nil && p.tag < fromTag {
+			p.trimDeps(fromTag)
+		}
+		if e.inIQ {
+			c.iqLen--
+			c.ready.remove(e.slot)
 		}
 		if e.isLoad {
 			c.loads.remove(e.tag)
@@ -1365,9 +1356,8 @@ func (c *Core) squashFrom(fromTag int64, newPC uint64, branchRepair bool) {
 		c.pool.put(e)
 	}
 	c.rob.TruncateFrom(cut)
-	// Wake every sleeping stage: occupancies and readiness changed, and
-	// issue must drop any strays the cut left behind. The settled-prefix
-	// replay cursor clamps to the surviving prefix.
+	// Wake every sleeping stage: occupancies and readiness changed. The
+	// settled-prefix replay cursor clamps to the surviving prefix.
 	c.issueQuiet = false
 	c.psdQuiet = false
 	c.commitQuiet = false
@@ -1388,7 +1378,6 @@ func (c *Core) squashFrom(fromTag int64, newPC uint64, branchRepair bool) {
 	}
 
 	// Filter the side lists.
-	c.iq = filterOlder(c.iq, fromTag)
 	c.pend.filterOlder(fromTag)
 	c.psd = filterOlder(c.psd, fromTag)
 
@@ -1489,6 +1478,7 @@ func (c *Core) portCap() int {
 func (c *Core) ResetStats() {
 	c.Stats = Stats{}
 	c.Skip = SkipStats{}
+	c.IssueVisits = 0
 	c.hier.Stats = cache.Stats{}
 	c.bp.Lookups, c.bp.Mispredicts = 0, 0
 	if c.eng != nil {

@@ -81,7 +81,7 @@ func (c *Core) Dump(maxROB int) StateDump {
 		FetchStallUntil: c.fetchStallUntil,
 		DispatchBarrier: c.dispatchBarrier,
 		ROBLen:          c.rob.Len(),
-		IQLen:           len(c.iq),
+		IQLen:           c.iqLen,
 		LQLen:           c.LQLen(),
 		SQLen:           c.sq.Len(),
 		FetchQLen:       c.fetchQ.Len(),

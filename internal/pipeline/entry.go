@@ -18,64 +18,53 @@ import (
 // entry is one reorder-buffer entry (a dynamic instruction in flight).
 // Dataflow uses direct producer pointers: a consumer is always younger
 // than its producers, so a squash that frees a producer also frees every
-// consumer holding a pointer to it. Entries are recycled through a
-// generation-tagged freelist (pool): every recycle bumps gen, and a
-// consumer snapshots its producer's generation at rename, so a read
-// through a stale pointer — a pointer that survived its producer's
-// recycling, which the squash/unlink invariants forbid — is detected
-// instead of silently reading the wrong instruction's result.
+// consumer holding a pointer to it. A consumer whose producer has not
+// produced its result at rename waits on the producer's dependents list
+// (deps, threaded through the consumers' next1/next2 links, youngest
+// first), and the producer's completion latches the value into every
+// waiting consumer and drops the pointer (Core.wake). A producer
+// therefore never commits, and is never recycled, while a consumer
+// still points at it. Entries are recycled through a generation-tagged
+// freelist (pool): every recycle bumps gen, and a consumer snapshots its
+// producer's generation at rename, so a read through a stale pointer — a
+// pointer that survived its producer's recycling, which the wake and
+// squash invariants forbid — is detected instead of silently reading the
+// wrong instruction's result.
+//
+// The fields are ordered eight-byte words first and flags last, so the
+// struct packs without padding holes: every dispatch zeroes a whole
+// entry (pool.get), and TestEntrySize pins the size.
 type entry struct {
-	tag       int64
-	pc        uint64
-	inst      isa.Inst
-	cls       isa.Class // inst.Class(), computed once at fetch
-	writesReg bool      // inst.WritesReg(), computed once at dispatch
-
-	// Dataflow. srcN is nil when the operand was ready at dispatch (its
-	// value is in srcNVal) or when the instruction does not read slot N.
-	src1, src2   *entry
-	src1Gen      uint64 // src1's generation at rename
-	src2Gen      uint64 // src2's generation at rename
-	src1Val      uint64
-	src2Val      uint64
-	reads1       bool
-	reads2       bool
+	tag          int64
+	pc           uint64
+	inst         isa.Inst
 	histSnapshot uint64 // branch-history state at fetch, for repair
-	// consumers counts live references held by younger entries' srcN
-	// pointers: incremented at rename, decremented when a consumer
-	// latches the value (srcReady), is squashed, or is unlinked. When it
-	// is zero at commit, unlink's IQ+PSD scan is provably a no-op and
-	// skipped.
-	consumers int32
 
-	// Scheduling state.
-	inIQ   bool
-	issued bool
-	done   bool
-	// resultReady lets consumers read result before done (value
-	// prediction delivers results at dispatch).
-	resultReady bool
-	doneCycle   int64
-	result      uint64
+	// Dataflow. srcN is nil once slot N's value is in srcNVal: read at
+	// rename from the architectural file or a producer that had its
+	// result, or latched by the producer's wake. A slot the instruction
+	// does not read stays nil and zero.
+	src1, src2 *entry
+	src1Gen    uint64 // src1's generation at rename
+	src2Gen    uint64 // src2's generation at rename
+	src1Val    uint64
+	src2Val    uint64
+	// deps heads this entry's dependents list: the unissued consumers
+	// still waiting for its result, youngest first. A consumer is linked
+	// once per distinct producer it waits on, through next1 when that
+	// producer is its src1 and through next2 otherwise.
+	deps         *entry
+	next1, next2 *entry
 
-	// Branch state.
-	isBranch  bool
-	predTaken bool
-	meta      bpred.Meta
-	taken     bool
+	doneCycle int64
+	result    uint64
+	meta      bpred.Meta // branch prediction state
 
 	// Memory state.
-	isLoad, isStore bool
-	addr            uint64
-	addrValid       bool
-	value           uint64 // load premature value / store data
-	forwardTag      int64
-	loadDone        bool
-	agenDone        bool // store address in the store queue
-	dataDone        bool // store data in the store queue
-	waitStoreTag    int64
-	nus             bool // issued past an unresolved store address
-	reordered       bool // issued while prior memory ops incomplete
+	addr         uint64
+	value        uint64 // load premature value / store data
+	forwardTag   int64
+	waitStoreTag int64
 
 	// Queue handles (lsq package comment): a load's load-queue handle
 	// and store colour (the store queue's next handle at its dispatch),
@@ -89,6 +78,43 @@ type entry struct {
 	writer       consistency.Writer
 	replayWriter consistency.Writer
 
+	// Replay timing (value-replay machines).
+	replayCycle int64
+	replayValue uint64
+
+	// gen counts recyclings of this storage slot. It survives the pool's
+	// zeroing and is never reset; see pool.get.
+	gen uint64
+
+	// slot is the entry's index in the reorder buffer's ring, which
+	// addresses its bit in the issue stage's ready set.
+	slot int32
+
+	cls       isa.Class // inst.Class(), computed once at fetch
+	writesReg bool      // inst.WritesReg(), computed once at dispatch
+
+	// Scheduling state.
+	inIQ   bool
+	issued bool
+	done   bool
+	// resultReady lets consumers read result before done (value
+	// prediction delivers results at dispatch).
+	resultReady bool
+
+	// Branch state.
+	isBranch  bool
+	predTaken bool
+	taken     bool
+
+	// Memory flags.
+	isLoad, isStore bool
+	addrValid       bool
+	loadDone        bool
+	agenDone        bool // store address in the store queue
+	dataDone        bool // store data in the store queue
+	nus             bool // issued past an unresolved store address
+	reordered       bool // issued while prior memory ops incomplete
+
 	// Value prediction state.
 	valuePredicted bool
 
@@ -96,59 +122,36 @@ type entry struct {
 	replayDecided bool
 	needReplay    bool
 	replayIssued  bool
-	replayCycle   int64
-	replayValue   uint64
 	replayedOK    bool
 	noReplay      bool // forward-progress rule 3 mark
-
-	// gen counts recyclings of this storage slot. It survives the pool's
-	// zeroing and is never reset; see pool.get.
-	gen uint64
 }
 
-// srcReady reports whether operand slot n is available and returns its
-// value. On the first ready observation the value is latched into the
-// entry and the producer pointer dropped: a producer's result is
-// immutable once done/resultReady (a mispredicted value reaches
-// consumers only through a squash that kills them), so latching is
-// invisible to results while sparing the issue loop's repeated scans a
-// pointer chase per operand per cycle.
+// srcReady reports whether operand slot n holds its value and returns
+// it. A slot is ready once its producer pointer is gone (see entry);
+// a pointer still held means the producer has not produced its result.
 func (e *entry) srcReady(n int) (uint64, bool) {
-	var p *entry
-	var v uint64
-	var gen uint64
-	var reads bool
-	if n == 1 {
-		p, v, gen, reads = e.src1, e.src1Val, e.src1Gen, e.reads1
-	} else {
-		p, v, gen, reads = e.src2, e.src2Val, e.src2Gen, e.reads2
-	}
-	if !reads {
-		return 0, true
+	p, v, gen := e.src1, e.src1Val, e.src1Gen
+	if n != 1 {
+		p, v, gen = e.src2, e.src2Val, e.src2Gen
 	}
 	if p == nil {
 		return v, true
 	}
 	if p.gen != gen {
 		// The producer slot was recycled while this consumer still held a
-		// pointer to it. The squash and commit-time unlink invariants make
-		// this unreachable; reaching it means the freelist would otherwise
-		// have handed this consumer another instruction's result.
+		// pointer to it. Wake-on-complete and the squash's dependents-list
+		// trim make this unreachable; reaching it means the freelist would
+		// otherwise have handed this consumer another instruction's result.
 		panic("pipeline: consumer read a recycled producer entry")
 	}
-	if p.done || p.resultReady {
-		v = p.result
-		p.consumers--
-		if n == 1 {
-			e.src1 = nil
-			e.src1Val = v
-		} else {
-			e.src2 = nil
-			e.src2Val = v
-		}
-		return v, true
-	}
 	return 0, false
+}
+
+// issueReady reports whether every operand the issue stage needs has
+// arrived: both slots, except that a store issues its address
+// generation on slot 1 alone (slot 2 is its data, captured separately).
+func (e *entry) issueReady() bool {
+	return e.src1 == nil && (e.src2 == nil || e.isStore)
 }
 
 // pool is a generation-tagged freelist of entries. At most ROBSize

@@ -75,7 +75,7 @@ func (c *Core) Quiescent() (wake int64, ok bool) {
 				c.ffStall = stallBarrier
 			case c.rob.Len() >= c.cfg.ROBSize:
 				c.ffStall = stallROB
-			case needIQ && len(c.iq) >= c.cfg.IQSize:
+			case needIQ && c.iqLen >= c.cfg.IQSize:
 				c.ffStall = stallIQ
 			case f.cls == isa.ClassLoad && c.lqFull():
 				c.ffStall = stallLQ

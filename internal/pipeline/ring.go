@@ -36,13 +36,15 @@ func (r *entryRing) At(i int) *entry {
 	return r.buf[idx]
 }
 
-// Push appends a dispatched entry at the young end.
+// Push appends a dispatched entry at the young end and records its
+// slot in the ring (entry.slot), which stays fixed while it is resident.
 func (r *entryRing) Push(e *entry) {
 	idx := r.head + r.n
 	if idx >= len(r.buf) {
 		idx -= len(r.buf)
 	}
 	r.buf[idx] = e
+	e.slot = int32(idx)
 	r.n++
 }
 

@@ -182,7 +182,7 @@ func TestPoolGenerationTags(t *testing.T) {
 	}
 
 	// Stale-pointer detection end to end.
-	consumer := &entry{reads1: true, src1: b, src1Gen: b.gen}
+	consumer := &entry{src1: b, src1Gen: b.gen}
 	p.put(b)
 	stale := p.get() // same slot, bumped generation
 	if stale != b {

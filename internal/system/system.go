@@ -386,6 +386,17 @@ func (s *System) StageSkipStats() pipeline.SkipStats {
 	return t
 }
 
+// IssueVisits sums the issue-queue entries every core's issue stage has
+// visited (pipeline.Core.IssueVisits); like StageSkipStats it lives
+// outside Result.
+func (s *System) IssueVisits() uint64 {
+	var n uint64
+	for _, c := range s.Cores {
+		n += c.IssueVisits
+	}
+	return n
+}
+
 // ResetStats zeroes all statistics (pipeline, caches, predictors, bus)
 // after a warmup period; microarchitectural state is preserved.
 func (s *System) ResetStats() {
